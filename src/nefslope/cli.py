@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import generators, simplicity
 from .errors import InputError, NefslopeError, PreconditionError
@@ -53,6 +54,15 @@ def _write_output(args, text: str) -> None:
         print(text)
 
 
+def _json_int(text: str) -> int | str:
+    # An integer literal past the interpreter's int-string limit stays a
+    # string, so that the field parser rejects it by name.
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _read_payload(text_or_path: str):
     if text_or_path == "-":
         raw = sys.stdin.read()
@@ -65,7 +75,7 @@ def _read_payload(text_or_path: str):
         except OSError as exc:
             raise InputError(f"cannot read input: {exc}") from exc
     try:
-        return json.loads(raw)
+        return json.loads(raw, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON at line {exc.lineno} column {exc.colno} (char {exc.pos}): {exc.msg}"
@@ -115,9 +125,7 @@ def _cmd_nef(args) -> int:
 
 def _cmd_certify(args) -> int:
     profile = _load_profile(_read_payload(args.input), args.level)
-    result = slope(profile).refined(args.width)
-    certify_rationality(profile)
-    payload = result.to_json()["rationality"]
+    payload = certify_rationality(profile).to_json()
     if payload["verdict"] == "rational":
         summary = f"rationality: rational {payload['p']}/{payload['q']}"
     else:
@@ -182,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_width:
             p.add_argument(
                 "--width",
-                type=parse_rational,
                 default=None,
                 help="refinement width for displayed intervals (rational, e.g. 1/1000000 or 1e-12)",
             )
@@ -205,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="scan labelled instances for non-simplicity witnesses")
     add_common(p, with_width=False)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (deterministic merge)")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("gen", help="emit seeded instance JSON arrays")
@@ -220,18 +227,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_width(flag: str | None) -> Fraction:
+    text = flag if flag is not None else os.environ.get("NEFSLOPE_WIDTH")
+    width = parse_rational(text, "width") if text else DEFAULT_WIDTH
+    if width <= 0:
+        raise InputError("width must be positive")
+    return width
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "width", None) is None and hasattr(args, "width"):
-        env = os.environ.get("NEFSLOPE_WIDTH")
-        args.width = parse_rational(env) if env else DEFAULT_WIDTH
-    if hasattr(args, "width") and args.width <= 0:
-        print("input error: width must be positive", file=sys.stderr)
-        return EXIT_INPUT
+    args = build_parser().parse_args(argv)
     if hasattr(args, "level"):
         args.level = _LEVELS[args.level]
     try:
+        if hasattr(args, "width"):
+            args.width = _parse_width(args.width)
         return args.func(args)
     except PreconditionError as exc:
         print(f"precondition violation: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -2,40 +2,52 @@
 
 All exact values are serialized as decimal strings ("p" or "p/q") so that
 consumers limited to 64-bit JSON numbers never truncate them.  Parsers
-accept plain JSON integers as well.
+accept plain JSON integers as well, and name the input field in every
+error they raise.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import InputError
 
 
-def parse_int(value: int | str) -> int:
+def _check_digits(text: str, field: str) -> None:
+    """Reject numbers past the interpreter's int-string conversion limit."""
+    limit = sys.get_int_max_str_digits()
+    digits = sum(ch.isdigit() for ch in text)
+    if limit and digits > limit:
+        raise InputError(f"{field}: number has {digits} digits, more than the limit of {limit}")
+
+
+def parse_int(value: int | str, field: str) -> int:
     if isinstance(value, bool):
-        raise InputError(f"expected an integer, got {value!r}")
+        raise InputError(f"{field}: expected an integer, got {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        _check_digits(value, field)
         try:
             return int(value.strip(), 10)
         except ValueError as exc:
-            raise InputError(f"not a decimal integer: {value!r}") from exc
-    raise InputError(f"expected an integer or decimal string, got {value!r}")
+            raise InputError(f"{field}: not a decimal integer: {value!r}") from exc
+    raise InputError(f"{field}: expected an integer or decimal string, got {value!r}")
 
 
-def parse_rational(value: int | str) -> Fraction:
+def parse_rational(value: int | str, field: str) -> Fraction:
     if isinstance(value, bool):
-        raise InputError(f"expected a rational, got {value!r}")
+        raise InputError(f"{field}: expected a rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _check_digits(value, field)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational: {value!r}") from exc
-    raise InputError(f"expected a rational or 'p/q' string, got {value!r}")
+            raise InputError(f"{field}: not a rational: {value!r}") from exc
+    raise InputError(f"{field}: expected a rational or 'p/q' string, got {value!r}")
 
 
 def format_int(value: int) -> str:

@@ -26,6 +26,12 @@ from .exactio import format_int, format_rational, parse_int, parse_rational
 from .polyroot import chi_polynomial, count_distinct_real_roots, squarefree_decomposition
 
 
+def _array(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{field}: expected a JSON array, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class IntersectionProfile:
     """The vector ``(L^k . M^(n-k))_{k=0..n}``, listed from k=0 upward."""
@@ -48,8 +54,10 @@ class IntersectionProfile:
     def from_json(cls, data: dict) -> "IntersectionProfile":
         if not isinstance(data, dict) or "n" not in data or "v" not in data:
             raise InputError("profile JSON must be an object with 'n' and 'v'")
-        n = parse_int(data["n"])
-        v = tuple(parse_int(x) for x in data["v"])
+        n = parse_int(data["n"], "n")
+        v = tuple(parse_int(x, f"v[{k}]") for k, x in enumerate(_array(data["v"], "v")))
+        if n >= 1 and len(v) != n + 1:
+            raise InputError(f"v: expected n + 1 = {n + 1} entries, got {len(v)}")
         return cls(n, v)
 
 
@@ -90,9 +98,12 @@ class SymMatrixModel:
     def from_json(cls, data: dict) -> "SymMatrixModel":
         if not isinstance(data, dict) or not {"n", "Ln", "F"} <= set(data):
             raise InputError("matrix JSON must be an object with 'n', 'Ln' and 'F'")
-        n = parse_int(data["n"])
-        top_l = parse_int(data["Ln"])
-        rows = tuple(tuple(parse_rational(x) for x in row) for row in data["F"])
+        n = parse_int(data["n"], "n")
+        top_l = parse_int(data["Ln"], "Ln")
+        rows = tuple(
+            tuple(parse_rational(x, f"F[{i}][{j}]") for j, x in enumerate(_array(row, f"F[{i}]")))
+            for i, row in enumerate(_array(data["F"], "F"))
+        )
         return cls(n, rows, top_l)
 
 

@@ -15,9 +15,11 @@ degree order.  On top of the raw arithmetic this module provides:
 * ``cauchy_bound`` -- the classical radius ``1 + max |c_k / c_d|``
   enclosing every root.
 
-Rational roots are always divided out before irrational isolation, so an
-:class:`AlgebraicNumber` is rational exactly when its ``exact`` field is
-set; no numeric equality test against rationals is ever needed.
+``isolate_max_root`` enumerates no divisors: it isolates the top root of
+the square-free part ``h`` and decides rationality by one exact check at
+the nearest rational with denominator at most ``D = lead(h)``.  An
+:class:`AlgebraicNumber` is therefore rational exactly when its ``exact``
+field is set; no numeric equality test against rationals is ever needed.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class IntPolynomial:
     def from_json(cls, data: dict) -> "IntPolynomial":
         if not isinstance(data, dict) or "coeffs" not in data:
             raise InputError("polynomial JSON must be an object with a 'coeffs' array")
-        return cls.of(parse_int(c) for c in data["coeffs"])
+        return cls.of(parse_int(c, f"coeffs[{k}]") for k, c in enumerate(data["coeffs"]))
 
 
 # ---------------------------------------------------------------------------
@@ -386,32 +388,6 @@ def rational_roots(p: IntPolynomial) -> tuple[Fraction, ...]:
     return tuple(sorted(roots, reverse=True))
 
 
-def divide_out_rational_roots(
-    p: IntPolynomial,
-) -> tuple[IntPolynomial, tuple[tuple[Fraction, int], ...]]:
-    """Remove every rational root to full multiplicity.
-
-    Returns the quotient (which has no rational roots) and the removed
-    roots with multiplicities, in descending root order.
-    """
-    quotient = p
-    removed = []
-    for root in rational_roots(p):
-        linear = [Fraction(-root.numerator), Fraction(root.denominator)]
-        mult = 0
-        while True:
-            fs = _frac(quotient)
-            if len(fs) - 1 < 1:
-                break
-            r = _rem(fs, linear)
-            if r:
-                break
-            quotient = IntPolynomial.of(_quo_exact(fs, linear))
-            mult += 1
-        removed.append((root, mult))
-    return quotient, tuple(removed)
-
-
 # ---------------------------------------------------------------------------
 # Algebraic numbers: certified real roots.
 
@@ -465,11 +441,11 @@ class AlgebraicNumber:
     def from_json(cls, data: dict) -> "AlgebraicNumber":
         try:
             minpoly = IntPolynomial.from_json(data["minpoly"])
-            lo, hi = (parse_rational(x) for x in data["interval"])
+            lo, hi = (parse_rational(x, "interval") for x in data["interval"])
             exact = data.get("exact")
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed algebraic number: {data!r}") from exc
-        return cls(minpoly, (lo, hi), parse_rational(exact) if exact is not None else None)
+        return cls(minpoly, (lo, hi), parse_rational(exact, "exact") if exact is not None else None)
 
 
 def _bisect_once(a: AlgebraicNumber) -> AlgebraicNumber:
@@ -526,7 +502,10 @@ def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:
             raise ZeroDivisionError("reciprocal of zero")
         return AlgebraicNumber.from_rational(Fraction(1) / a.exact)
     b = refine_away_from(a, Fraction(0))
-    while b.interval[0] == 0:
+    # Inversion maps (lo, hi] onto [1/hi, 1/lo), read as (1/hi, 1/lo]; so
+    # lo must be nonzero and, as it may be a rational root of the defining
+    # polynomial below the number, not a root.
+    while b.interval[0] == 0 or _sign_at(b.minpoly_factor, b.interval[0]) == 0:
         b = _bisect_once(b)
     lo, hi = b.interval
     rev = _primitive(_frac(b.minpoly_factor.reversed_coeffs()), positive_lead=True)
@@ -535,16 +514,6 @@ def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:
 
 # ---------------------------------------------------------------------------
 # Maximal-root isolation.
-
-@dataclass(frozen=True)
-class RootAnalysis:
-    """Outcome of splitting the roots of a polynomial into certified parts."""
-
-    rational: tuple[Fraction, ...]
-    reduced: IntPolynomial
-    irrational_max: AlgebraicNumber | None
-    max_root: AlgebraicNumber | None
-
 
 def _isolate_topmost(chain: SturmChain, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink ``(lo, hi]`` (containing >= 1 root, none above) around the largest root."""
@@ -559,36 +528,40 @@ def _isolate_topmost(chain: SturmChain, lo: Fraction, hi: Fraction) -> tuple[Fra
     return lo, hi
 
 
-def analyze_roots(p: IntPolynomial) -> RootAnalysis:
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    rr = rational_roots(p)
-    reduced, _ = divide_out_rational_roots(p)
-    irrational_max = None
-    if reduced.degree >= 2:
-        h = squarefree_part(reduced)
-        chain = sturm_chain(h)
-        bound = cauchy_bound(h)
-        if sturm_count(chain, -bound, bound) > 0:
-            lo, hi = _isolate_topmost(chain, -bound, bound)
-            irrational_max = AlgebraicNumber(h, (lo, hi))
-    best: AlgebraicNumber | None
-    if irrational_max is None:
-        best = AlgebraicNumber.from_rational(rr[0]) if rr else None
-    elif not rr:
-        best = irrational_max
-    elif compare_with_rational(irrational_max, rr[0]) > 0:
-        best = irrational_max
-    else:
-        best = AlgebraicNumber.from_rational(rr[0])
-    return RootAnalysis(rr, reduced, irrational_max, best)
-
-
 def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
-    """The largest real root of ``p``, or None if ``p`` has no real root."""
+    """The largest real root of ``p``, or None if ``p`` has no real root.
+
+    The root is isolated on the square-free part ``h``.  A rational root of
+    ``h`` has a denominator dividing ``D = lead(h)``, and two distinct such
+    rationals lie at least ``1/D^2`` apart, so once a copy of the interval is
+    narrower than ``1/(2 D^2)`` the only rational candidate is the nearest
+    fraction with denominator ``<= D``; one exact evaluation decides it.
+    """
     if p.is_zero or p.degree < 1:
         raise ValueError("isolate_max_root requires a nonzero polynomial of degree >= 1")
-    return analyze_roots(p).max_root
+    chain = sturm_chain(p)
+    h = chain.polys[0]
+    bound = cauchy_bound(h)
+    if sturm_count(chain, -bound, bound) == 0:
+        return None
+    lo, hi = _isolate_topmost(chain, -bound, bound)
+    denom = h.coeffs[-1]
+    a, b = lo, hi
+    while (b - a) * 2 * denom * denom >= 1:
+        mid = (a + b) / 2
+        s = _sign_at(h, mid)
+        if s == 0:
+            return AlgebraicNumber.from_rational(mid)
+        if s == _sign_at(h, b):
+            b = mid
+        else:
+            a = mid
+    nearest = ((a + b) / 2).limit_denominator(denom)
+    # The interval test matters when the root is irrational: the nearest
+    # fraction may then be another root of h, below the maximum.
+    if lo < nearest <= hi and h(nearest) == 0:
+        return AlgebraicNumber.from_rational(nearest)
+    return AlgebraicNumber(h, (lo, hi))
 
 
 # ---------------------------------------------------------------------------

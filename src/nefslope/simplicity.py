@@ -11,7 +11,6 @@ scan can never prove simplicity, and the report wording reflects that.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -150,8 +149,7 @@ class SimplicityScan:
         return {"overall": self.overall, "entries": [e.to_json() for e in self.entries]}
 
 
-def _scan_one(item: tuple[str, IntersectionProfile]) -> ScanEntry:
-    label, profile = item
+def _scan_one(label: str, profile: IntersectionProfile) -> ScanEntry:
     ratio = is_proportional(profile)
     if ratio is not None:
         return ScanEntry(label, profile, SKIPPED_PROPORTIONAL, ratio=ratio)
@@ -181,8 +179,8 @@ def scan(
     """Scan labelled profiles for non-simplicity witnesses.
 
     All instances must share the same ``L^n`` (optionally pinned by
-    ``top_l``); entries are processed independently, in parallel when
-    ``jobs > 1``, and merged in input order.
+    ``top_l``); entries are processed in input order.  ``jobs`` is accepted
+    for compatibility and has no effect.
     """
     items = list(instances)
     for _, profile in items:
@@ -192,11 +190,7 @@ def scan(
         tops.add(top_l)
     if len(tops) > 1:
         raise InconsistentContext(f"instances disagree on L^n: {sorted(tops)}")
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = tuple(pool.map(_scan_one, items))
-    else:
-        entries = tuple(_scan_one(item) for item in items)
+    entries = tuple(_scan_one(label, profile) for label, profile in items)
     overall = WITNESS_FOUND if any(e.verdict == WITNESS for e in entries) else CONSISTENT
     return SimplicityScan(entries, overall)
 

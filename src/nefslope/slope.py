@@ -5,28 +5,30 @@ computed from the profile polynomial: when the maximal real root is
 positive the threshold is its reciprocal, otherwise the threshold is
 infinite (represented explicitly, never as a large number).
 
-Rationality of a finite threshold is a decided property: every rational
-value must be a divisor quotient of the constant and leading coefficients,
-so enumerating those candidates with exact evaluations either exhibits the
-maximal root or certifies that the maximum is irrational.  The enumeration
-is materialized as a :class:`CandidateTrace` so third parties can replay
-the certificate.
+Rationality of a finite threshold is a decided property: a rational
+maximal root has a denominator dividing the leading coefficient ``D`` of the
+square-free part, so one exact check at the nearest fraction with
+denominator at most ``D`` either exhibits the root or certifies that the
+maximum is irrational.  The replayable divisor-quotient enumeration of the
+paper is kept as a :class:`CandidateTrace`, computed when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegenerateInput, NegationIsNef, SlopeIsInfinite
 from .exactio import format_int, format_rational
 from .numdata import IntersectionProfile, binary_profile, require_valid
 from .polyroot import (
     AlgebraicNumber,
-    analyze_roots,
+    IntPolynomial,
     cauchy_bound,
     chi_polynomial,
     compare_with_rational,
+    isolate_max_root,
     rational_root_candidates,
     reciprocal,
     refine,
@@ -56,16 +58,21 @@ class CandidateTrace:
     """Replayable record of the rational-candidate enumeration.
 
     ``candidates`` holds every positive divisor-quotient candidate for the
-    maximal root, in descending order, with the exact value of the profile
-    polynomial at it.  ``max_root_candidate`` names the winner when the
+    maximal root of ``chi``, in descending order, with the exact value of
+    ``chi`` at it; it is computed on first access, so a trace nobody reads
+    costs nothing.  ``max_root_candidate`` names the winner when the
     maximal root is rational; otherwise ``separation`` is an isolating
     interval for the irrational maximum, and every candidate above it
     evaluates to a nonzero value.
     """
 
-    candidates: tuple[tuple[Fraction, Fraction], ...]
+    chi: IntPolynomial
     max_root_candidate: Fraction | None
     separation: tuple[Fraction, Fraction] | None
+
+    @cached_property
+    def candidates(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((c, Fraction(self.chi(c))) for c in rational_root_candidates(self.chi) if c > 0)
 
     def to_json(self) -> list:
         return [
@@ -86,12 +93,23 @@ class RationalSlope:
     def value(self) -> Fraction:
         return Fraction(self.p, self.q)
 
+    def to_json(self) -> dict:
+        return {
+            "verdict": "rational",
+            "p": format_int(self.p),
+            "q": format_int(self.q),
+            "trace": self.trace.to_json(),
+        }
+
 
 @dataclass(frozen=True)
 class IrrationalSlope:
     """Certificate that the finite threshold is irrational."""
 
     trace: CandidateTrace
+
+    def to_json(self) -> dict:
+        return {"verdict": "irrational", "trace": self.trace.to_json()}
 
 
 @dataclass(frozen=True)
@@ -125,23 +143,11 @@ class SlopeResult:
     def to_json(self) -> dict:
         if self.infinite:
             return {"kind": "infinite"}
-        if isinstance(self.rationality, RationalSlope):
-            rationality = {
-                "verdict": "rational",
-                "p": format_int(self.rationality.p),
-                "q": format_int(self.rationality.q),
-                "trace": self.rationality.trace.to_json(),
-            }
-        else:
-            rationality = {
-                "verdict": "irrational",
-                "trace": self.rationality.trace.to_json(),
-            }
         return {
             "kind": "finite",
             "zeta": self.max_root.to_json(),
             "slope": self.slope.to_json(),
-            "rationality": rationality,
+            "rationality": self.rationality.to_json(),
         }
 
 
@@ -156,15 +162,6 @@ def is_nef(p: IntersectionProfile) -> NefReport:
     witness = next((k for k, x in values if x < 0), None)
     nef = witness is None
     return NefReport(values, nef, witness, nef and p.v[0] > 0)
-
-
-def _candidate_trace(chi, analysis) -> CandidateTrace:
-    cands = tuple((c, Fraction(chi(c))) for c in rational_root_candidates(chi) if c > 0)
-    best = analysis.max_root
-    if best is not None and best.exact is not None and best.exact > 0:
-        return CandidateTrace(cands, best.exact, None)
-    separation = best.interval if best is not None else None
-    return CandidateTrace(cands, None, separation)
 
 
 def _check_divisibility(p: int, q: int, profile: IntersectionProfile) -> None:
@@ -187,17 +184,16 @@ def slope(profile: IntersectionProfile) -> SlopeResult:
     chi = chi_polynomial(profile)
     if chi.degree < 1:
         raise DegenerateInput("profile polynomial is constant")
-    analysis = analyze_roots(chi)
-    best = analysis.max_root
+    best = isolate_max_root(chi)
     if best is None or compare_with_rational(best, 0) <= 0:
         return SlopeResult(None, None, None)
-    trace = _candidate_trace(chi, analysis)
     if best.exact is not None:
         value = Fraction(1) / best.exact
+        trace = CandidateTrace(chi, best.exact, None)
         rationality = RationalSlope(value.numerator, value.denominator, trace)
         _check_divisibility(value.numerator, value.denominator, profile)
     else:
-        rationality = IrrationalSlope(trace)
+        rationality = IrrationalSlope(CandidateTrace(chi, None, best.interval))
     return SlopeResult(best, reciprocal(best), rationality)
 
 
@@ -209,8 +205,6 @@ def certify_rationality(profile: IntersectionProfile) -> RationalSlope | Irratio
     result = slope(profile)
     if result.infinite:
         raise SlopeIsInfinite("threshold is infinite; nothing to certify")
-    if isinstance(result.rationality, RationalSlope):
-        _check_divisibility(result.rationality.p, result.rationality.q, profile)
     return result.rationality
 
 

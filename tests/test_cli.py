@@ -210,6 +210,23 @@ class TestErrorHandling:
         assert code == 3
         assert "validation failed" in err
 
+    @pytest.mark.parametrize(
+        "command,field",
+        [
+            (["--input", '{"n": 2, "v": null}'], "v:"),
+            (["--input", '{"n": 2, "v": [' + "1" * 5000 + ", 3, 2]}"], "v[0]:"),
+            (["--input", '{"n": 2, "v": [1, 2]}'], "v:"),
+            (["--input", SURFACE_IRRATIONAL, "--width", "abc"], "width:"),
+        ],
+        ids=["null-array", "oversized-integer", "short-profile", "bad-width"],
+    )
+    def test_typed_input_error(self, capsys, command, field):
+        code, payload, err = run(capsys, ["slope"] + command)
+        assert code == 2
+        assert payload is None
+        assert err.startswith(f"input error: {field}")
+        assert "Traceback" not in err
+
     def test_syntactic_violation(self, capsys):
         code, _, err = run(capsys, ["slope", "--input", '{"n": 2, "v": [0, 1, -2]}'])
         assert code == 3

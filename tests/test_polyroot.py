@@ -1,9 +1,11 @@
 """Tests for the exact polynomial layer: Sturm counting, isolation, bounds."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,7 +20,6 @@ from nefslope.polyroot import (
     chi_polynomial,
     compare_with_rational,
     count_distinct_real_roots,
-    divide_out_rational_roots,
     isolate_max_root,
     rational_root_candidates,
     rational_roots,
@@ -166,12 +167,6 @@ class TestRationalRoots:
         assert cands == tuple(sorted(cands, reverse=True))
         assert set(c for c in cands if c > 0) == {Fraction(2), Fraction(1), Fraction(1, 2)}
 
-    def test_divide_out_removes_multiplicity(self):
-        p = _mul(from_roots([2, 2, -1], lead=3), P([1, 0, 1]))
-        reduced, removed = divide_out_rational_roots(p)
-        assert dict(removed) == {Fraction(2): 2, Fraction(-1): 1}
-        assert reduced == P([3, 0, 3])
-
     @given(st.lists(st.integers(-60, 60), min_size=2, max_size=8))
     def test_roots_satisfy_divisor_conditions(self, coeffs):
         p = P(coeffs)
@@ -216,6 +211,44 @@ class TestIsolateMaxRoot:
         lo, hi = root.interval
         assert in_interval_surd(lo, hi, Fraction(0), Fraction(1), 7)
 
+    def test_rational_max_with_denominator_lead(self):
+        # (7u - 10) (u^2 - 2): 10/7 lies 0.014 above sqrt(2); lead(h) = 7
+        p = _mul(P([-10, 7]), P([-2, 0, 1]))
+        assert squarefree_part(p).coeffs[-1] == 7
+        assert isolate_max_root(p).exact == Fraction(10, 7)
+
+    def test_repeated_rational_max(self):
+        # (2u - 3)^3 (u + 1)
+        p = _mul(_mul(_mul(P([-3, 2]), P([-3, 2])), P([-3, 2])), P([1, 1]))
+        assert isolate_max_root(p).exact == Fraction(3, 2)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rational_root_below_irrational_max(self, d):
+        # (u - 1) (u^2 - d).  d = 2: lead(h) = 1 and the nearest integer to
+        # sqrt(2), 1, is a root of h.  d = 3: the isolating interval is
+        # (1, 2], whose excluded end 1 is a root of h.
+        p = _mul(P([-1, 1]), P([-d, 0, 1]))
+        root = isolate_max_root(p)
+        assert root.exact is None
+        assert root.minpoly_factor == squarefree_part(p)
+        lo, hi = root.interval
+        assert in_interval_surd(lo, hi, Fraction(0), Fraction(1), d)
+        assert sturm_count(sturm_chain(root.minpoly_factor), lo, hi) == 1
+        inv = reciprocal(root)
+        ilo, ihi = inv.interval
+        assert sturm_count(sturm_chain(inv.minpoly_factor), ilo, ihi) == 1
+        assert ilo * ilo < Fraction(1, d) < ihi * ihi
+
+    def test_max_root_at_zero(self):
+        # u^2 (u + 3)
+        assert isolate_max_root(P([0, 0, 3, 1])).exact == 0
+
+    def test_max_root_at_bisection_midpoint(self):
+        # (u - 1) (u^2 + 1): Cauchy interval (-2, 2], bisected at 0, then at 1
+        p = _mul(P([-1, 1]), P([1, 0, 1]))
+        assert cauchy_bound(squarefree_part(p)) == 2
+        assert isolate_max_root(p).exact == 1
+
     def test_interval_isolates_and_tops(self):
         p = P([2, -6, 2])
         root = isolate_max_root(p)
@@ -223,6 +256,39 @@ class TestIsolateMaxRoot:
         lo, hi = root.interval
         assert sturm_count(chain, lo, hi) == 1
         assert sturm_count(chain, hi, POS_INF) == 0
+
+
+class TestSympyOracle:
+    def test_random_polynomials_up_to_degree_12(self):
+        """Rationality and value of the max root agree with sympy's exact roots."""
+        rng = random.Random(2026)
+        u = sympy.Symbol("u")
+        for _ in range(150):
+            p = P([rng.randint(-20, 20) for _ in range(rng.randint(0, 6))] + [rng.randint(1, 9)])
+            for _ in range(rng.randint(0, 3)):
+                linear = P([rng.randint(-12, 12), rng.randint(1, 6)])
+                for _ in range(rng.randint(1, 2)):
+                    p = _mul(p, linear)
+            if p.degree < 1:
+                continue
+            poly = sympy.Poly(list(reversed(p.coeffs)), u)
+            got = isolate_max_root(p)
+            if poly.count_roots() == 0:
+                assert got is None
+                continue
+            top = max(poly.ground_roots(), default=None)
+            if top is not None and poly.count_roots(top, None) == 1:
+                assert got.exact == Fraction(int(top.p), int(top.q))
+                continue
+            assert got.exact is None
+            lo, hi = got.interval
+
+            def roots_above(x):
+                r = sympy.Rational(x.numerator, x.denominator)
+                return poly.count_roots(r, None) - (poly.eval(r) == 0)
+
+            assert roots_above(hi) == 0 and roots_above(lo) >= 1
+            assert sympy.rem(poly, sympy.Poly(list(reversed(got.minpoly_factor.coeffs)), u)).is_zero
 
 
 class TestRefine:

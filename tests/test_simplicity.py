@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nefslope import simplicity
 from nefslope.errors import InconsistentContext
 from nefslope.generators import GenSpec, gen_product, gen_random
 from nefslope.numdata import IntersectionProfile, profile_from_matrix
@@ -128,6 +129,21 @@ class TestScan:
             for k, (m2, lm) in enumerate([(0, 2), (2, 3), (4, 4), (1, 3), (-2, 1)])
         ]
         assert scan(instances, jobs=4) == scan(instances)
+
+    def test_traces_left_unbuilt(self, monkeypatch):
+        results = []
+
+        def recording_slope(profile):
+            results.append(slope(profile))
+            return results[-1]
+
+        monkeypatch.setattr(simplicity, "slope", recording_slope)
+        models = gen_random(GenSpec("rational-matrix", seed=5, count=6, n=3, bound=6))
+        instances = [(f"m{k}", profile_from_matrix(m)) for k, m in enumerate(models)]
+        assert scan(instances).witness_found
+        traces = [r.rationality.trace for r in results if not r.infinite]
+        assert traces
+        assert all("candidates" not in vars(t) for t in traces)
 
 
 class TestKernelRank:
