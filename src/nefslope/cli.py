@@ -35,6 +35,9 @@ EXIT_WITNESS = 10
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
+#: Narrowest accepted display width (``--width`` / ``NEFSLOPE_WIDTH``).
+MIN_WIDTH = Fraction(1, 2**4096)
+
 _LEVELS = {
     "syntactic": ValidationLevel.SYNTACTIC,
     "spectral": ValidationLevel.SPECTRAL,
@@ -231,7 +234,11 @@ def _parse_width(flag: str | None) -> Fraction:
     text = flag if flag is not None else os.environ.get("NEFSLOPE_WIDTH")
     width = parse_rational(text, "width") if text else DEFAULT_WIDTH
     if width <= 0:
-        raise InputError("width must be positive")
+        raise InputError("width: must be positive")
+    # Each halving of an irrational root's interval costs one exact
+    # evaluation, so the width bounds the work of display refinement.
+    if width < MIN_WIDTH:
+        raise InputError("width: must be at least the floor 2^-4096")
     return width
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import InputError, NonIntegralProfile
 from .exactio import format_int, format_rational, parse_int, parse_rational
-from .polyroot import chi_polynomial, count_distinct_real_roots, squarefree_decomposition
+from .polyroot import NEG_INF, POS_INF, chi_polynomial, sturm_chain, sturm_count
 
 
 def _array(value, field: str) -> list:
@@ -171,27 +171,27 @@ def validate(p: IntersectionProfile, level: ValidationLevel) -> ValidationReport
     """Check a profile at the requested strictness; never raises.
 
     SYNTACTIC checks the type invariants.  SPECTRAL additionally requires the
-    profile polynomial to be real-rooted (counting multiplicity through the
-    square-free decomposition), as holds for every profile arising from a
-    symmetric matrix model.  SURFACE_HODGE additionally requires, on
-    surfaces, the index inequality ``(L.M)^2 >= L^2 M^2``.
+    profile polynomial to be real-rooted, as holds for every profile arising
+    from a symmetric matrix model; multiplicity does not matter, so the test
+    is that the Sturm count of the square-free part equals its degree.
+    SURFACE_HODGE additionally requires, on surfaces, the index inequality
+    ``(L.M)^2 >= L^2 M^2``.
     """
     violations = _syntactic_violations(p)
     if violations:
         return ValidationReport(level, tuple(violations))
     if level >= ValidationLevel.SPECTRAL:
-        chi = chi_polynomial(p)
-        for factor, mult in squarefree_decomposition(chi):
-            real = count_distinct_real_roots(factor)
-            if real != factor.degree:
-                violations.append(
-                    Violation(
-                        "real-rooted",
-                        f"factor {factor} of multiplicity {mult} has {real} real "
-                        f"roots but degree {factor.degree}",
-                        (str(factor), mult, real),
-                    )
+        chain = sturm_chain(chi_polynomial(p))
+        h = chain.polys[0]
+        real = sturm_count(chain, NEG_INF, POS_INF)
+        if real != h.degree:
+            violations.append(
+                Violation(
+                    "real-rooted",
+                    f"square-free part {h} has {real} distinct real roots but degree {h.degree}",
+                    (str(h), real),
                 )
+            )
     if level >= ValidationLevel.SURFACE_HODGE:
         if p.n != 2:
             violations.append(

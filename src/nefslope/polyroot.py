@@ -1,11 +1,17 @@
 """Exact integer-polynomial algebra and real-root certification.
 
 Polynomials carry arbitrary-precision integer coefficients in ascending
-degree order.  On top of the raw arithmetic this module provides:
+degree order, and all exact algebra stays in the integers: remainders are
+pseudo-remainders scaled by positive factors, gcds and Sturm chains are
+primitive pseudo-remainder sequences, and values at ``a/b`` come from
+homogeneous integer Horner.  On top of this kernel the module provides:
 
 * ``chi_polynomial`` -- the degree-n integer polynomial attached to an
   intersection profile, whose maximal real root is the reciprocal of the
   nef threshold;
+* ``squarefree_part`` -- ``p / gcd(p, p')``, on which every root question
+  is asked (a polynomial is real-rooted exactly when the Sturm count of
+  its square-free part equals that part's degree);
 * Sturm chains and ``sturm_count`` for exact root counting on half-open
   intervals ``(lo, hi]``, with ``lo``/``hi`` rationals or +-infinity;
 * ``isolate_max_root`` / ``refine`` -- certified isolation of the largest
@@ -27,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InputError
 from .exactio import format_int, format_rational, parse_int, parse_rational
@@ -86,12 +92,9 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, x):
-        """Evaluate by Horner's rule; exact for int or Fraction arguments."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x: Fraction | int) -> Fraction:
+        """Exact value at an int or Fraction argument."""
+        return Fraction(_scaled_value(self, x), x.denominator ** max(self.degree, 0))
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial.of(k * c for k, c in enumerate(self.coeffs) if k > 0)
@@ -131,134 +134,85 @@ class IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Raw coefficient arithmetic over the rationals (internal).
+# Integer coefficient arithmetic (internal).
 
-def _frac(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+def _scaled_value(p: IntPolynomial, x: Fraction | int) -> int:
+    """``b^d p(a/b)`` for ``x = a/b`` in lowest terms, by homogeneous Horner.
 
-
-def _strip(fs: list[Fraction]) -> list[Fraction]:
-    while fs and fs[-1] == 0:
-        fs.pop()
-    return fs
-
-
-def _rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a by b over the rationals; b must be nonzero."""
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        q = a[-1] / lb
-        for i, c in enumerate(b):
-            a[i + k] -= q * c
-        a.pop()
-        _strip(a)
-    return a
-
-
-def _quo_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Exact quotient a / b; raises if b does not divide a."""
-    a = a[:]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        q = a[-1] / lb
-        out[k] = q
-        for i, c in enumerate(b):
-            a[i + k] -= q * c
-        a.pop()
-        _strip(a)
-    if a:
-        raise ArithmeticError("polynomial division is not exact")
-    return _strip(out)
-
-
-def _primitive(fs: Sequence[Fraction], positive_lead: bool = False) -> IntPolynomial:
-    """Scale by a rational to integer coefficients with content 1.
-
-    The scale factor is positive, so the sign pattern is preserved unless
-    ``positive_lead`` forces a global sign flip.
+    The denominator ``b`` is positive, so this integer has the sign of ``p(x)``.
     """
-    fs = _strip(list(fs))
-    if not fs:
-        return IntPolynomial(())
-    denom = 1
-    for c in fs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in fs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    ints = [c // content for c in ints]
-    if positive_lead and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPolynomial(tuple(ints))
+    a, b = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(p.coeffs):
+        acc = acc * a + c * scale
+        scale *= b
+    return acc
 
 
-def _gcd_poly(a: list[Fraction], b: list[Fraction]) -> IntPolynomial:
-    """Primitive, positive-lead gcd over the rationals (Euclid)."""
-    a, b = _strip(a[:]), _strip(b[:])
-    while b:
-        a, b = b, _rem(a, b)
-    return _primitive(a, positive_lead=True)
+def _primitive(coeffs: Iterable[int], positive_lead: bool = False) -> IntPolynomial:
+    """Divide out the content, a positive factor that leaves every sign intact.
+
+    ``positive_lead`` additionally flips the global sign to make the leading
+    coefficient positive.
+    """
+    p = IntPolynomial.of(coeffs)
+    if p.is_zero:
+        return p
+    content = gcd(*p.coeffs)
+    if positive_lead and p.coeffs[-1] < 0:
+        content = -content
+    return IntPolynomial(tuple(c // content for c in p.coeffs))
 
 
-def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return _gcd_poly(_frac(p), _frac(q))
+def _prem(a: IntPolynomial, b: IntPolynomial) -> list[int]:
+    """Pseudo-remainder ``|lead(b)|^(deg a - deg b + 1) a mod b``; b must be nonzero.
+
+    The scale factor is positive, so the result is a positive multiple of the
+    remainder over the rationals and carries the same sign at every point.
+    """
+    r = list(a.coeffs)
+    db, lb = b.degree, b.coeffs[-1]
+    scale, sign = abs(lb), _sgn(lb)
+    for k in range(len(r) - 1 - db, -1, -1):
+        q = sign * r[-1]
+        r = [scale * c for c in r]
+        for i, c in enumerate(b.coeffs):
+            r[i + k] -= q * c
+        r.pop()
+    return r
+
+
+def _exquo(a: IntPolynomial, b: IntPolynomial) -> list[int]:
+    """Quotient ``a / b`` for primitive b dividing a; integral by Gauss's lemma."""
+    r = list(a.coeffs)
+    db, lb = b.degree, b.coeffs[-1]
+    out = [0] * (len(r) - db)
+    for k in range(len(out) - 1, -1, -1):
+        q = out[k] = r[-1] // lb
+        for i, c in enumerate(b.coeffs):
+            r[i + k] -= q * c
+        r.pop()
+    if any(r):
+        raise ArithmeticError("polynomial division is not exact")
+    return out
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """``p / gcd(p, p')`` as a primitive integer polynomial with positive lead."""
+    """``p / gcd(p, p')`` as a primitive integer polynomial with positive lead.
+
+    The gcd is the last nonzero term of the primitive pseudo-remainder
+    sequence of ``p`` and ``p'``.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial has no square-free part")
     if p.degree == 0:
         return IntPolynomial((1,))
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return _primitive(_frac(p), positive_lead=True)
-    return _primitive(_quo_exact(_frac(p), _frac(g)), positive_lead=True)
-
-
-def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun decomposition ``[(g_i, i)]`` with the g_i square-free and coprime.
-
-    The product of ``g_i ** i`` equals ``p`` up to a rational constant.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no square-free decomposition")
-    if p.degree <= 0:
-        return []
-    f, fp = _frac(p), _frac(p.derivative())
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return [(_primitive(f, positive_lead=True), 1)]
-    gq = _frac(g)
-    c = _quo_exact(f, gq)
-    d = _strip([x - y for x, y in _zip_pad(_quo_exact(fp, gq), _deriv(c))])
-    out: list[tuple[IntPolynomial, int]] = []
-    i = 1
-    while len(c) - 1 > 0:
-        a = _gcd_poly(c, d) if d else _primitive(c, positive_lead=True)
-        aq = _frac(a)
-        c = _quo_exact(c, aq)
-        d = _strip([x - y for x, y in _zip_pad(_quo_exact(d, aq) if d else [], _deriv(c))])
-        if a.degree > 0:
-            out.append((a, i))
-        i += 1
-    return out
-
-
-def _deriv(fs: Sequence[Fraction]) -> list[Fraction]:
-    return [k * c for k, c in enumerate(fs) if k > 0]
-
-
-def _zip_pad(a: Sequence[Fraction], b: Sequence[Fraction]):
-    n = max(len(a), len(b))
-    za = list(a) + [Fraction(0)] * (n - len(a))
-    zb = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(za, zb)
+    a, b = _primitive(p.coeffs), _primitive(p.derivative().coeffs)
+    while not b.is_zero:
+        a, b = b, _primitive(_prem(a, b))
+    if a.degree == 0:
+        return _primitive(p.coeffs, positive_lead=True)
+    return _primitive(_exquo(p, a), positive_lead=True)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +234,10 @@ def sturm_chain(p: IntPolynomial) -> SturmChain:
         raise ValueError("cannot build a Sturm chain for the zero polynomial")
     f0 = squarefree_part(p)
     seq = [f0]
-    f1 = _primitive(_frac(f0.derivative()))
+    f1 = _primitive(f0.derivative().coeffs)
     while not f1.is_zero:
         seq.append(f1)
-        r = _rem(_frac(seq[-2]), _frac(seq[-1]))
-        f1 = _primitive([-c for c in r])
+        f1 = _primitive(-c for c in _prem(seq[-2], seq[-1]))
     return SturmChain(tuple(seq))
 
 
@@ -295,7 +248,7 @@ def _sign_at(p: IntPolynomial, x: Endpoint) -> int:
         return _sgn(p.coeffs[-1])
     if x == NEG_INF:
         return _sgn(p.coeffs[-1]) * (-1 if p.degree % 2 else 1)
-    return _sgn(p(x))
+    return _sgn(_scaled_value(p, x))
 
 
 def _variations(chain: SturmChain, x: Endpoint) -> int:
@@ -311,22 +264,6 @@ def sturm_count(chain: SturmChain, lo: Endpoint, hi: Endpoint) -> int:
     if count < 0:
         raise AssertionError("sign variations must be monotone along the chain")
     return count
-
-
-def count_distinct_real_roots(p: IntPolynomial) -> int:
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return 0
-    return sturm_count(sturm_chain(p), NEG_INF, POS_INF)
-
-
-def is_real_rooted(p: IntPolynomial) -> bool:
-    """True when every root of ``p`` is real, counted with multiplicity."""
-    return all(
-        count_distinct_real_roots(factor) == factor.degree
-        for factor, _ in squarefree_decomposition(p)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +406,6 @@ def refine(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
     return a
 
 
-def refine_away_from(a: AlgebraicNumber, point: Fraction) -> AlgebraicNumber:
-    """Shrink the interval until ``point`` lies outside ``(lo, hi]``."""
-    if a.exact is not None:
-        return a
-    while a.interval[0] < point <= a.interval[1]:
-        a = _bisect_once(a)
-    return a
-
-
 def compare_with_rational(a: AlgebraicNumber, value: Fraction | int) -> int:
     """Exact three-way comparison of an algebraic number with a rational."""
     value = Fraction(value)
@@ -501,14 +429,14 @@ def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:
         if a.exact == 0:
             raise ZeroDivisionError("reciprocal of zero")
         return AlgebraicNumber.from_rational(Fraction(1) / a.exact)
-    b = refine_away_from(a, Fraction(0))
     # Inversion maps (lo, hi] onto [1/hi, 1/lo), read as (1/hi, 1/lo]; so
-    # lo must be nonzero and, as it may be a rational root of the defining
-    # polynomial below the number, not a root.
-    while b.interval[0] == 0 or _sign_at(b.minpoly_factor, b.interval[0]) == 0:
+    # the interval must keep clear of 0 and lo, which may be a rational root
+    # of the defining polynomial below the number, must not be a root.
+    b = a
+    while b.interval[0] <= 0 <= b.interval[1] or _sign_at(b.minpoly_factor, b.interval[0]) == 0:
         b = _bisect_once(b)
     lo, hi = b.interval
-    rev = _primitive(_frac(b.minpoly_factor.reversed_coeffs()), positive_lead=True)
+    rev = _primitive(b.minpoly_factor.reversed_coeffs().coeffs, positive_lead=True)
     return AlgebraicNumber(rev, (1 / hi, 1 / lo))
 
 
@@ -559,7 +487,7 @@ def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
     nearest = ((a + b) / 2).limit_denominator(denom)
     # The interval test matters when the root is irrational: the nearest
     # fraction may then be another root of h, below the maximum.
-    if lo < nearest <= hi and h(nearest) == 0:
+    if lo < nearest <= hi and _sign_at(h, nearest) == 0:
         return AlgebraicNumber.from_rational(nearest)
     return AlgebraicNumber(h, (lo, hi))
 

@@ -72,7 +72,7 @@ class CandidateTrace:
 
     @cached_property
     def candidates(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple((c, Fraction(self.chi(c))) for c in rational_root_candidates(self.chi) if c > 0)
+        return tuple((c, self.chi(c)) for c in rational_root_candidates(self.chi) if c > 0)
 
     def to_json(self) -> list:
         return [

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -29,7 +30,7 @@ class TestSlopeCommand:
         assert payload["kind"] == "finite"
         assert payload["rationality"]["verdict"] == "irrational"
         lo, hi = payload["slope"]["interval"]
-        lo, hi = _frac(lo), _frac(hi)
+        lo, hi = Fraction(lo), Fraction(hi)
         assert 0.3819 < lo < hi < 0.3821
         assert "irrational" in err
 
@@ -54,14 +55,14 @@ class TestSlopeCommand:
             capsys, ["slope", "--input", SURFACE_IRRATIONAL, "--width", "1/1000"]
         )
         assert code == 0
-        lo, hi = (_frac(x) for x in payload["slope"]["interval"])
+        lo, hi = (Fraction(x) for x in payload["slope"]["interval"])
         assert hi - lo <= 1 / 1000
 
     def test_width_env(self, capsys, monkeypatch):
         monkeypatch.setenv("NEFSLOPE_WIDTH", "1/4")
         code, payload, _ = run(capsys, ["slope", "--input", SURFACE_IRRATIONAL])
         assert code == 0
-        lo, hi = (_frac(x) for x in payload["zeta"]["interval"])
+        lo, hi = (Fraction(x) for x in payload["zeta"]["interval"])
         assert hi - lo <= 1 / 4
 
     def test_byte_stable(self, capsys):
@@ -78,12 +79,6 @@ class TestSlopeCommand:
         payload = json.loads(target.read_text(encoding="utf-8"))
         assert payload["kind"] == "finite"
         assert "slope" in err
-
-
-def _frac(s):
-    from fractions import Fraction
-
-    return Fraction(s)
 
 
 class TestNefCommand:
@@ -217,8 +212,9 @@ class TestErrorHandling:
             (["--input", '{"n": 2, "v": [' + "1" * 5000 + ", 3, 2]}"], "v[0]:"),
             (["--input", '{"n": 2, "v": [1, 2]}'], "v:"),
             (["--input", SURFACE_IRRATIONAL, "--width", "abc"], "width:"),
+            (["--input", SURFACE_IRRATIONAL, "--width", "1e-100000"], "width:"),
         ],
-        ids=["null-array", "oversized-integer", "short-profile", "bad-width"],
+        ids=["null-array", "oversized-integer", "short-profile", "bad-width", "width-below-floor"],
     )
     def test_typed_input_error(self, capsys, command, field):
         code, payload, err = run(capsys, ["slope"] + command)

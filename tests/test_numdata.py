@@ -114,8 +114,9 @@ class TestIsProportional:
 
 class TestValidate:
     def test_spectral_ok(self):
-        report = validate(IntersectionProfile(2, (2, 3, 2)), ValidationLevel.SPECTRAL)
-        assert report.ok
+        # chi = 2 u^2 - 6 u + 2, and chi = (u - 1)^2 with a repeated real root
+        for profile in (IntersectionProfile(2, (2, 3, 2)), IntersectionProfile(2, (1, 1, 1))):
+            assert validate(profile, ValidationLevel.SPECTRAL).ok
 
     def test_hodge_violation(self):
         report = validate(IntersectionProfile(2, (2, 1, 2)), ValidationLevel.SURFACE_HODGE)
@@ -133,10 +134,12 @@ class TestValidate:
         assert [v.check for v in report.violations] == ["profile-length"]
 
     def test_spectral_flags_complex_spectrum(self):
-        # chi = 2 u^2 - 2 u + 2 has no real roots
-        report = validate(IntersectionProfile(2, (2, 1, 2)), ValidationLevel.SPECTRAL)
-        assert not report.ok
-        assert report.violations[0].check == "real-rooted"
+        # chi = 2 u^2 - 2 u + 2 has no real roots; chi = 3 (u^2 + 1)^2 has a
+        # repeated complex pair
+        for profile in (IntersectionProfile(2, (2, 1, 2)), IntersectionProfile(4, (3, 0, 1, 0, 3))):
+            report = validate(profile, ValidationLevel.SPECTRAL)
+            assert not report.ok
+            assert report.violations[0].check == "real-rooted"
 
     def test_hodge_requires_surface(self):
         report = validate(IntersectionProfile(3, (0, 0, 18, 6)), ValidationLevel.SURFACE_HODGE)

@@ -19,13 +19,11 @@ from nefslope.polyroot import (
     cauchy_bound,
     chi_polynomial,
     compare_with_rational,
-    count_distinct_real_roots,
     isolate_max_root,
     rational_root_candidates,
     rational_roots,
     reciprocal,
     refine,
-    squarefree_decomposition,
     squarefree_part,
     sturm_chain,
     sturm_count,
@@ -81,19 +79,6 @@ class TestSquarefree:
         p = from_roots([1, 3], lead=2)
         assert squarefree_part(p) == from_roots([1, 3])
 
-    def test_decomposition_multiplicities(self):
-        # 2 (u-2)^2: single factor of multiplicity 2
-        p = P([8, -8, 2])
-        assert squarefree_decomposition(p) == [(P([-2, 1]), 2)]
-
-    def test_decomposition_mixed(self):
-        # u^3 (u-1): factors u of multiplicity 3 and u-1 of multiplicity 1
-        p = P([0, 0, 0, -1, 1])
-        assert sorted(squarefree_decomposition(p), key=lambda t: t[1]) == [
-            (P([-1, 1]), 1),
-            (P([0, 1]), 3),
-        ]
-
 
 class TestSturm:
     def test_count_whole_line(self):
@@ -114,6 +99,13 @@ class TestSturm:
         assert sturm_count(chain, Fraction(-1), Fraction(0)) == 1
         assert sturm_count(chain, Fraction(0), Fraction(1)) == 0
 
+    def test_pseudo_remainder_keeps_signs(self):
+        # Both chains end by dividing a cubic by a linear term with negative
+        # lead, so the pseudo-remainder scale must be |lead|^3, not lead^3.
+        assert sturm_chain(P([3, 2, 0, 0, 2])).polys[2] == P([-2, -1])
+        assert sturm_count(sturm_chain(P([3, 2, 0, 0, 2])), NEG_INF, POS_INF) == 0
+        assert sturm_count(sturm_chain(P([0, 3, 0, 0, 2])), NEG_INF, POS_INF) == 2
+
     def test_constructed_root_counts(self):
         rng = SplitMix64(2024)
         for _ in range(200):
@@ -125,7 +117,7 @@ class TestSturm:
                 p = _mul(p, P([rng.in_range(1, 9), 0, 1]))
             if p.degree < 1:
                 continue
-            assert count_distinct_real_roots(p) == len(roots)
+            assert sturm_count(sturm_chain(p), NEG_INF, POS_INF) == len(roots)
 
 
 def _mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -289,6 +281,33 @@ class TestSympyOracle:
 
             assert roots_above(hi) == 0 and roots_above(lo) >= 1
             assert sympy.rem(poly, sympy.Poly(list(reversed(got.minpoly_factor.coeffs)), u)).is_zero
+
+    def test_repeated_factors_up_to_degree_12(self):
+        """Square-free parts and windowed Sturm counts agree with sympy when factors repeat."""
+        rng = random.Random(3)
+        u = sympy.Symbol("u")
+        for _ in range(120):
+            factors = [
+                P([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 5)])
+                for _ in range(rng.randint(1, 3))
+            ]
+            factors.append(factors[0])
+            p = P([rng.choice([-3, -1, 1, 2])])
+            for f in factors:
+                p = _mul(p, f)
+            poly = sympy.Poly(list(reversed(p.coeffs)), u)
+            _, sqf = poly.sqf_part().primitive()
+            if sqf.LC() < 0:
+                sqf = -sqf
+            assert squarefree_part(p) == P([int(c) for c in reversed(sqf.all_coeffs())])
+            chain = sturm_chain(p)
+            for _ in range(4):
+                lo, hi = sorted(Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(2))
+                if lo == hi:
+                    continue
+                slo, shi = (sympy.Rational(x.numerator, x.denominator) for x in (lo, hi))
+                expected = sqf.count_roots(slo, shi) - (sqf.eval(slo) == 0)
+                assert sturm_count(chain, lo, hi) == expected
 
 
 class TestRefine:
