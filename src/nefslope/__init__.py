@@ -19,26 +19,19 @@ from .errors import (
     PreconditionError,
     SlopeIsInfinite,
 )
-from .generators import GenSpec, SplitMix64, gen_product, gen_random, gen_surface
 from .numdata import (
     IntersectionProfile,
     SymMatrixModel,
     ValidationLevel,
-    ValidationReport,
-    Violation,
     binary_profile,
     charpoly,
     is_proportional,
-    product_model,
     profile_from_matrix,
     validate,
 )
 from .polyroot import (
-    DEFAULT_WIDTH,
     AlgebraicNumber,
     IntPolynomial,
-    SturmChain,
-    cauchy_bound,
     chi_polynomial,
     compare_with_rational,
     isolate_max_root,
@@ -46,25 +39,16 @@ from .polyroot import (
     rational_roots,
     reciprocal,
     refine,
-    squarefree_part,
     sturm_chain,
-    sturm_count,
 )
 from .simplicity import (
     NormClassSpec,
-    ScanEntry,
-    SimplicityScan,
-    boundary_endomorphism,
-    is_norm_endomorphism_model,
     kernel_rank,
     norm_class,
-    norm_slope_check,
     scan,
 )
 from .slope import (
-    CandidateTrace,
     IrrationalSlope,
-    NefReport,
     RationalSlope,
     SlopeResult,
     certify_rationality,
@@ -80,51 +64,33 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraicNumber",
     "AsymmetricInput",
-    "CandidateTrace",
-    "DEFAULT_WIDTH",
     "DegenerateInput",
-    "GenSpec",
     "HodgeViolation",
     "InconsistentContext",
     "InputError",
     "IntersectionProfile",
     "IntPolynomial",
     "IrrationalSlope",
-    "NefReport",
     "NefslopeError",
     "NegationIsNef",
     "NonIntegralProfile",
     "NormClassSpec",
     "PreconditionError",
     "RationalSlope",
-    "ScanEntry",
-    "SimplicityScan",
     "SlopeIsInfinite",
     "SlopeResult",
-    "SplitMix64",
-    "SturmChain",
     "SymMatrixModel",
     "ValidationLevel",
-    "ValidationReport",
-    "Violation",
     "binary_profile",
-    "boundary_endomorphism",
-    "cauchy_bound",
     "certify_rationality",
     "charpoly",
     "chi_polynomial",
     "compare_with_rational",
-    "gen_product",
-    "gen_random",
-    "gen_surface",
     "is_nef",
-    "is_norm_endomorphism_model",
     "is_proportional",
     "isolate_max_root",
     "kernel_rank",
     "norm_class",
-    "norm_slope_check",
-    "product_model",
     "profile_from_matrix",
     "rational_root_candidates",
     "rational_roots",
@@ -135,8 +101,6 @@ __all__ = [
     "slope",
     "slope_at_least",
     "slope_lower_bound",
-    "squarefree_part",
     "sturm_chain",
-    "sturm_count",
     "validate",
 ]

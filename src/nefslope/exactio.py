@@ -8,18 +8,30 @@ error they raise.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
 from .errors import InputError
 
 
+#: The exponent of a decimal string, as ``Fraction`` reads it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
 def _check_digits(text: str, field: str) -> None:
-    """Reject numbers past the interpreter's int-string conversion limit."""
+    """Reject numbers past the interpreter's int-string conversion limit.
+
+    A written exponent counts with its magnitude, because ``Fraction``
+    builds ``10**|exponent|`` before anything else can reject the number.
+    """
     limit = sys.get_int_max_str_digits()
     digits = sum(ch.isdigit() for ch in text)
+    exponent = _EXPONENT.search(text)
+    if limit and exponent and digits <= limit:
+        digits += abs(int(exponent.group(1)))
     if limit and digits > limit:
-        raise InputError(f"{field}: number has {digits} digits, more than the limit of {limit}")
+        raise InputError(f"{field}: number has {digits} digits written out, more than the limit of {limit}")
 
 
 def parse_int(value: int | str, field: str) -> int:

@@ -265,8 +265,10 @@ def profile_from_matrix(m: SymMatrixModel) -> IntersectionProfile:
     for k in range(m.n + 1):
         value = Fraction(m.top_l) * (-1) ** (m.n - k) * cp[k] / comb(m.n, k)
         if value.denominator != 1:
+            # str() of a huge denominator passes the int-string limit.
             raise NonIntegralProfile(
-                f"entry k={k} is {value}, not an integer (L^n = {m.top_l})"
+                f"entry k={k} is not an integer: its denominator has "
+                f"{value.denominator.bit_length()} bits (L^n = {m.top_l})"
             )
         v.append(value.numerator)
     return IntersectionProfile(m.n, tuple(v))

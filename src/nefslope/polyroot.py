@@ -386,12 +386,16 @@ class AlgebraicNumber:
 
 
 def _bisect_once(a: AlgebraicNumber) -> AlgebraicNumber:
-    """One sign-test bisection step; the root stays inside ``(lo, hi]``."""
+    """One sign-test bisection step: the half of ``(lo, hi]`` that holds the
+    number, or the number made exact when the midpoint is a root."""
     lo, hi = a.interval
     mid = (lo + hi) / 2
-    if _sign_at(a.minpoly_factor, mid) == _sign_at(a.minpoly_factor, hi):
-        return AlgebraicNumber(a.minpoly_factor, (lo, mid), a.exact)
-    return AlgebraicNumber(a.minpoly_factor, (mid, hi), a.exact)
+    s = _sign_at(a.minpoly_factor, mid)
+    if s == 0:
+        return AlgebraicNumber.from_rational(mid)
+    if s == _sign_at(a.minpoly_factor, hi):
+        return AlgebraicNumber(a.minpoly_factor, (lo, mid))
+    return AlgebraicNumber(a.minpoly_factor, (mid, hi))
 
 
 def refine(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
@@ -399,9 +403,22 @@ def refine(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    if a.exact is not None:
-        return a
-    while a.interval[1] - a.interval[0] > width:
+    while a.exact is None and a.interval[1] - a.interval[0] > width:
+        a = _bisect_once(a)
+    return a
+
+
+def clear_lower_end(a: AlgebraicNumber) -> AlgebraicNumber:
+    """Bisect until ``(lo, hi]`` keeps clear of 0 and ``lo`` is not a root.
+
+    ``lo`` may be a rational root of the defining polynomial below the
+    number.  For a positive number the result has ``lo > 0``, and bisection
+    keeps both properties, since ``lo`` only grows and a bisection midpoint
+    that is a root makes the number exact.
+    """
+    while a.exact is None and (
+        a.interval[0] <= 0 <= a.interval[1] or _sign_at(a.minpoly_factor, a.interval[0]) == 0
+    ):
         a = _bisect_once(a)
     return a
 
@@ -425,18 +442,16 @@ def compare_with_rational(a: AlgebraicNumber, value: Fraction | int) -> int:
 
 def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:
     """The reciprocal, via coefficient reversal of the defining polynomial."""
+    # Inversion maps (lo, hi] onto [1/hi, 1/lo), read as (1/hi, 1/lo]; so
+    # lo must not be a root, and an interval that already holds the guard
+    # inverts without bisection.
+    a = clear_lower_end(a)
     if a.exact is not None:
         if a.exact == 0:
             raise ZeroDivisionError("reciprocal of zero")
-        return AlgebraicNumber.from_rational(Fraction(1) / a.exact)
-    # Inversion maps (lo, hi] onto [1/hi, 1/lo), read as (1/hi, 1/lo]; so
-    # the interval must keep clear of 0 and lo, which may be a rational root
-    # of the defining polynomial below the number, must not be a root.
-    b = a
-    while b.interval[0] <= 0 <= b.interval[1] or _sign_at(b.minpoly_factor, b.interval[0]) == 0:
-        b = _bisect_once(b)
-    lo, hi = b.interval
-    rev = _primitive(b.minpoly_factor.reversed_coeffs().coeffs, positive_lead=True)
+        return AlgebraicNumber.from_rational(1 / a.exact)
+    lo, hi = a.interval
+    rev = _primitive(a.minpoly_factor.reversed_coeffs().coeffs, positive_lead=True)
     return AlgebraicNumber(rev, (1 / hi, 1 / lo))
 
 
@@ -461,9 +476,10 @@ def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
 
     The root is isolated on the square-free part ``h``.  A rational root of
     ``h`` has a denominator dividing ``D = lead(h)``, and two distinct such
-    rationals lie at least ``1/D^2`` apart, so once a copy of the interval is
-    narrower than ``1/(2 D^2)`` the only rational candidate is the nearest
-    fraction with denominator ``<= D``; one exact evaluation decides it.
+    rationals lie at least ``1/D^2`` apart, so once the isolating interval is
+    at most ``1/(2 D^2)`` wide the only rational candidate is the nearest
+    fraction with denominator ``<= D``; one exact evaluation decides it.  An
+    irrational root keeps that narrowed interval.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("isolate_max_root requires a nonzero polynomial of degree >= 1")
@@ -474,22 +490,16 @@ def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
         return None
     lo, hi = _isolate_topmost(chain, -bound, bound)
     denom = h.coeffs[-1]
-    a, b = lo, hi
-    while (b - a) * 2 * denom * denom >= 1:
-        mid = (a + b) / 2
-        s = _sign_at(h, mid)
-        if s == 0:
-            return AlgebraicNumber.from_rational(mid)
-        if s == _sign_at(h, b):
-            b = mid
-        else:
-            a = mid
-    nearest = ((a + b) / 2).limit_denominator(denom)
+    root = refine(AlgebraicNumber(h, (lo, hi)), Fraction(1, 2 * denom * denom))
+    if root.exact is not None:
+        return root
+    lo, hi = root.interval
+    nearest = ((lo + hi) / 2).limit_denominator(denom)
     # The interval test matters when the root is irrational: the nearest
     # fraction may then be another root of h, below the maximum.
     if lo < nearest <= hi and _sign_at(h, nearest) == 0:
         return AlgebraicNumber.from_rational(nearest)
-    return AlgebraicNumber(h, (lo, hi))
+    return root
 
 
 # ---------------------------------------------------------------------------

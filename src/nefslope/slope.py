@@ -11,6 +11,10 @@ square-free part, so one exact check at the nearest fraction with
 denominator at most ``D`` either exhibits the root or certifies that the
 maximum is irrational.  The replayable divisor-quotient enumeration of the
 paper is kept as a :class:`CandidateTrace`, computed when it is read.
+
+A result holds one number, the maximal root, and derives the threshold
+from it; display refinement refines that root once, which bounds both
+emitted intervals (see :meth:`SlopeResult.refined`).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .polyroot import (
     IntPolynomial,
     cauchy_bound,
     chi_polynomial,
+    clear_lower_end,
     compare_with_rational,
     isolate_max_root,
     rational_root_candidates,
@@ -60,15 +65,11 @@ class CandidateTrace:
     ``candidates`` holds every positive divisor-quotient candidate for the
     maximal root of ``chi``, in descending order, with the exact value of
     ``chi`` at it; it is computed on first access, so a trace nobody reads
-    costs nothing.  ``max_root_candidate`` names the winner when the
-    maximal root is rational; otherwise ``separation`` is an isolating
-    interval for the irrational maximum, and every candidate above it
-    evaluates to a nonzero value.
+    costs nothing.  A rational maximal root is the candidate at which the
+    value is zero; for an irrational one every value is nonzero.
     """
 
     chi: IntPolynomial
-    max_root_candidate: Fraction | None
-    separation: tuple[Fraction, Fraction] | None
 
     @cached_property
     def candidates(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -116,18 +117,23 @@ class IrrationalSlope:
 class SlopeResult:
     """Threshold of a pair: infinite, or finite with rationality certificate.
 
-    For finite results ``max_root`` is the maximal real root of the profile
-    polynomial and ``slope`` its reciprocal; the defining polynomial of one
-    is the coefficient reversal of the other.
+    A finite result holds one number, ``max_root``: the maximal real root of
+    the profile polynomial, with an isolating interval ``(lo, hi]`` whose
+    ``lo`` is positive and not a root.  The threshold ``slope`` is its
+    reciprocal, derived on first access with the interval ``(1/hi, 1/lo]``
+    and the coefficient reversal of the defining polynomial.
     """
 
     max_root: AlgebraicNumber | None
-    slope: AlgebraicNumber | None
     rationality: RationalSlope | IrrationalSlope | None
 
     @property
     def infinite(self) -> bool:
         return self.max_root is None
+
+    @cached_property
+    def slope(self) -> AlgebraicNumber | None:
+        return None if self.infinite else reciprocal(self.max_root)
 
     @property
     def slope_fraction(self) -> Fraction | None:
@@ -136,9 +142,14 @@ class SlopeResult:
         return None
 
     def refined(self, width: Fraction) -> "SlopeResult":
-        if self.infinite:
+        """Both intervals at most ``width`` wide, the root's possibly narrower:
+        the threshold interval is ``(hi - lo) / (lo hi)`` wide and refinement
+        only raises ``lo``, so the root is refined to ``width * min(1, lo^2)``.
+        """
+        if self.infinite or self.max_root.exact is not None:
             return self
-        return SlopeResult(refine(self.max_root, width), refine(self.slope, width), self.rationality)
+        lo = self.max_root.interval[0]
+        return SlopeResult(refine(self.max_root, width * min(1, lo * lo)), self.rationality)
 
     def to_json(self) -> dict:
         if self.infinite:
@@ -186,15 +197,15 @@ def slope(profile: IntersectionProfile) -> SlopeResult:
         raise DegenerateInput("profile polynomial is constant")
     best = isolate_max_root(chi)
     if best is None or compare_with_rational(best, 0) <= 0:
-        return SlopeResult(None, None, None)
+        return SlopeResult(None, None)
+    trace = CandidateTrace(chi)
     if best.exact is not None:
-        value = Fraction(1) / best.exact
-        trace = CandidateTrace(chi, best.exact, None)
+        value = 1 / best.exact
         rationality = RationalSlope(value.numerator, value.denominator, trace)
         _check_divisibility(value.numerator, value.denominator, profile)
     else:
-        rationality = IrrationalSlope(CandidateTrace(chi, None, best.interval))
-    return SlopeResult(best, reciprocal(best), rationality)
+        rationality = IrrationalSlope(trace)
+    return SlopeResult(clear_lower_end(best), rationality)
 
 
 def certify_rationality(profile: IntersectionProfile) -> RationalSlope | IrrationalSlope:

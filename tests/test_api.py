@@ -1,0 +1,40 @@
+"""The top-level API: every exported name, and every name the benchmark imports, resolves."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import nefslope
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_imports():
+    """Names imported ``from nefslope`` anywhere in ``bench/*.py``."""
+    names = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "nefslope":
+                names.update(alias.name for alias in node.names)
+    return sorted(names)
+
+
+def resolves(name):
+    if hasattr(nefslope, name):
+        return True
+    # ``from nefslope import simplicity`` also loads a submodule.
+    try:
+        importlib.import_module(f"nefslope.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_exported_names_resolve():
+    assert [name for name in nefslope.__all__ if not hasattr(nefslope, name)] == []
+
+
+def test_bench_imports_resolve():
+    names = bench_imports()
+    assert "isolate_max_root" in names and "slope" in names
+    assert [name for name in names if not resolves(name)] == []

@@ -213,14 +213,33 @@ class TestErrorHandling:
             (["--input", '{"n": 2, "v": [1, 2]}'], "v:"),
             (["--input", SURFACE_IRRATIONAL, "--width", "abc"], "width:"),
             (["--input", SURFACE_IRRATIONAL, "--width", "1e-100000"], "width:"),
+            (["--input", '{"n": 2, "Ln": "2", "F": [["1e-5000", "0"], ["0", "0"]]}'], "F[0][0]:"),
+            (["--input", SURFACE_IRRATIONAL, "--width", "1e-3000000"], "width:"),
         ],
-        ids=["null-array", "oversized-integer", "short-profile", "bad-width", "width-below-floor"],
+        ids=[
+            "null-array",
+            "oversized-integer",
+            "short-profile",
+            "bad-width",
+            "width-below-floor",
+            "oversized-exponent",
+            "oversized-width-exponent",
+        ],
     )
     def test_typed_input_error(self, capsys, command, field):
         code, payload, err = run(capsys, ["slope"] + command)
         assert code == 2
         assert payload is None
         assert err.startswith(f"input error: {field}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["1e-3000", "1/1" + "0" * 3000], ids=["exponent", "long-denominator"])
+    def test_non_integral_profile_past_string_limit(self, capsys, entry):
+        matrix = json.dumps({"n": 2, "Ln": "2", "F": [[entry, "0"], ["0", entry]]})
+        code, payload, err = run(capsys, ["slope", "--input", matrix])
+        assert code == 3
+        assert payload is None
+        assert "NonIntegralProfile" in err
         assert "Traceback" not in err
 
     def test_syntactic_violation(self, capsys):

@@ -217,7 +217,7 @@ class TestIsolateMaxRoot:
     @pytest.mark.parametrize("d", [2, 3])
     def test_rational_root_below_irrational_max(self, d):
         # (u - 1) (u^2 - d).  d = 2: lead(h) = 1 and the nearest integer to
-        # sqrt(2), 1, is a root of h.  d = 3: the isolating interval is
+        # sqrt(2), 1, is a root of h.  d = 3: Sturm isolation stops at
         # (1, 2], whose excluded end 1 is a root of h.
         p = _mul(P([-1, 1]), P([-d, 0, 1]))
         root = isolate_max_root(p)
@@ -335,6 +335,21 @@ class TestRefine:
         assert compare_with_rational(root, Fraction(2)) == -1
         assert compare_with_rational(root, Fraction(3, 2)) == -1
         assert compare_with_rational(root, Fraction(7, 5)) == 1
+
+    def test_midpoint_root_becomes_exact(self):
+        # 2u - 1 on (0, 1]: the first midpoint is the root itself
+        half = refine(AlgebraicNumber(P([-1, 2]), (Fraction(0), Fraction(1))), Fraction(1, 4))
+        assert half.exact == Fraction(1, 2)
+
+    def test_reciprocal_with_root_at_lower_end(self):
+        # (u - 1) (u^2 - 3) on (1, 2]: the excluded end 1 is a root, so the
+        # inverted interval must not end at 1/1 = 1
+        p = _mul(P([-1, 1]), P([-3, 0, 1]))
+        inv = reciprocal(AlgebraicNumber(squarefree_part(p), (Fraction(1), Fraction(2))))
+        lo, hi = inv.interval
+        assert hi < 1
+        assert sturm_count(sturm_chain(inv.minpoly_factor), lo, hi) == 1
+        assert lo * lo < Fraction(1, 3) < hi * hi
 
     def test_reciprocal_brackets_one(self):
         root = isolate_max_root(P([2, -6, 2]))

@@ -102,12 +102,39 @@ class TestSlope:
         assert slo < hi / c and lo / c < shi  # intervals of s and s/c overlap
 
 
+class TestRefined:
+    @pytest.mark.parametrize("width", [Fraction(1, 2**64), Fraction(1, 4), Fraction(10)])
+    def test_one_refinement_bounds_both_intervals(self, width):
+        # chi = u^2 + 10u - 1: max root 5 - sqrt 26 ~ 0.099, below 1/(2 D^2) = 1/2
+        small = surface(-1, -5, 1)
+        assert slope(small).max_root.interval[0] < Fraction(1, 2)
+        profiles = [small]
+        for spec in (
+            GenSpec("surface", seed=41, count=60, bound=10),
+            GenSpec("product-matrix", seed=42, count=20, n=3, bound=4),
+            GenSpec("rational-matrix", seed=43, count=20, n=3, bound=5),
+        ):
+            profiles += profiles_from(spec)
+        irrational = 0
+        for profile in profiles:
+            result = slope(profile)
+            if result.infinite or result.max_root.exact is not None:
+                continue
+            irrational += 1
+            tight = result.refined(width)
+            zlo, zhi = tight.max_root.interval
+            slo, shi = tight.slope.interval
+            assert zhi - zlo <= width and shi - slo <= width
+            assert (slo, shi) == (1 / zhi, 1 / zlo)
+            assert zlo > 0
+        assert irrational > 20
+
+
 class TestCertify:
     def test_rational_with_divisors(self):
         cert = certify_rationality(surface(3, 5, 3))
         assert (cert.p, cert.q) == (1, 3)
         assert 3 % cert.p == 0 and 3 % cert.q == 0
-        assert cert.trace.max_root_candidate == 3
         winners = [c for c, val in cert.trace.candidates if val == 0]
         assert Fraction(3) in winners
 
