@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_width=True):
+    def add_common(p):
         p.add_argument("--input", required=True, help="input path, inline JSON, or '-' for stdin")
         p.add_argument("--output", default=None, help="write the JSON payload to this path instead of stdout")
         p.add_argument(
@@ -190,19 +190,18 @@ def build_parser() -> argparse.ArgumentParser:
             default="syntactic",
             help="input validation level (default: syntactic)",
         )
-        if with_width:
-            p.add_argument(
-                "--width",
-                default=None,
-                help="refinement width for displayed intervals (rational, e.g. 1/1000000 or 1e-12)",
-            )
 
     p = sub.add_parser("slope", help="nef threshold with rationality certificate")
     add_common(p)
+    p.add_argument(
+        "--width",
+        default=None,
+        help="refinement width for displayed intervals (rational, e.g. 1/1000000 or 1e-12)",
+    )
     p.set_defaults(func=_cmd_slope)
 
     p = sub.add_parser("nef", help="coordinate-wise nefness test of a bundle profile")
-    add_common(p, with_width=False)
+    add_common(p)
     p.set_defaults(func=_cmd_nef)
 
     p = sub.add_parser("certify", help="rationality certificate of a finite threshold")
@@ -210,11 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("bound", help="coefficient lower bound for the threshold")
-    add_common(p, with_width=False)
+    add_common(p)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("scan", help="scan labelled instances for non-simplicity witnesses")
-    add_common(p, with_width=False)
+    add_common(p)
     p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_scan)
 

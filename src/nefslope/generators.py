@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .errors import AsymmetricInput, HodgeViolation, InputError
-from .numdata import IntersectionProfile, SymMatrixModel
+from .errors import HodgeViolation, InputError
+from .numdata import IntersectionProfile, SymMatrixModel, require_model
 
 _INCREMENT = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -82,15 +82,9 @@ class GenSpec:
 
 def gen_product(n: int, entries: Sequence[Sequence[int]]) -> SymMatrixModel:
     """Matrix model on an n-fold elliptic product; ``L^n = n!``."""
-    rows = [list(row) for row in entries]
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise AsymmetricInput(f"expected a {n}x{n} matrix")
-    for i in range(n):
-        for j in range(i):
-            if rows[i][j] != rows[j][i]:
-                raise AsymmetricInput(f"entries ({i},{j}) and ({j},{i}) differ")
-    frac_rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    return SymMatrixModel(n, frac_rows, factorial(n))
+    model = SymMatrixModel(n, entries, factorial(n))
+    require_model(model)
+    return model
 
 
 def gen_surface(l2: int, lm: int, m2: int) -> IntersectionProfile:

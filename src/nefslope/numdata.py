@@ -6,7 +6,8 @@ Non-simple varieties are modelled concretely on products of elliptic curves
 with the product principal polarization: a symmetric rational matrix plays
 the role of the endomorphism attached to ``M``, the top self-intersection of
 ``L`` defaults to ``n!``, and the profile is read off the characteristic
-polynomial of the matrix.
+polynomial of the matrix, computed by Berkowitz on the denominator-cleared
+integer matrix.
 
 Profiles are passive records: arbitrary integer vectors are accepted as
 first-class inputs, and realizability checks are opt-in through
@@ -18,10 +19,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, lcm
 from typing import Sequence
 
-from .errors import InputError, NonIntegralProfile
+from .errors import AsymmetricInput, InputError, NonIntegralProfile
 from .exactio import format_int, format_rational, parse_int, parse_rational
 from .polyroot import NEG_INF, POS_INF, chi_polynomial, sturm_chain, sturm_count
 
@@ -77,15 +78,6 @@ class SymMatrixModel:
     def __post_init__(self):
         rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
-
-    @property
-    def is_symmetric(self) -> bool:
-        m = self.entries
-        return all(
-            len(row) == self.n for row in m
-        ) and len(m) == self.n and all(
-            m[i][j] == m[j][i] for i in range(self.n) for j in range(i)
-        )
 
     def to_json(self) -> dict:
         return {
@@ -219,35 +211,48 @@ def require_valid(p: IntersectionProfile) -> None:
 # Matrix model.
 
 def charpoly(entries: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    """Coefficients of ``det(u I - F)``, ascending, by the Faddeev-LeVerrier scheme."""
+    """Coefficients of ``det(u I - F)``, ascending, by Berkowitz on the
+    denominator-cleared integer matrix.
+
+    With ``D`` the lcm of the entries' denominators, the division-free
+    Berkowitz recurrence gives ``det(u I - D F) = sum c_k u^k`` in integers,
+    and the k-th coefficient of ``det(u I - F)`` is ``c_k / D^(n-k)``.
+    """
     n = len(entries)
-    m = [[Fraction(x) for x in row] for row in entries]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in entries):
         raise InputError("matrix must be square")
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    aux = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        # aux <- F @ aux + c_{n-k+1} I
-        nxt = [
-            [sum(m[i][t] * aux[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            nxt[i][i] += coeffs[n - k + 1]
-        trace = sum(
-            sum(m[i][t] * nxt[t][i] for t in range(n)) for i in range(n)
-        )
-        coeffs[n - k] = -trace / k
-        aux = nxt
-    return tuple(coeffs)
+    d = lcm(*(x.denominator for row in entries for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in entries]
+    # c: det(u I - A_r) of the leading r x r block, descending.  Bordering it
+    # by row r multiplies c by the Toeplitz matrix with first column
+    # (1, -a_rr, -R C, -R A_r C, ..., -R A_r^(r-1) C).
+    c = [1]
+    for r in range(n):
+        col = [a[i][r] for i in range(r)]
+        t = [1, -a[r][r]]
+        for _ in range(r):
+            t.append(-sum(x * y for x, y in zip(a[r], col)))
+            col = [sum(x * y for x, y in zip(a[i], col)) for i in range(r)]
+        c = [sum(t[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return tuple(Fraction(c[n - k], d ** (n - k)) for k in range(n + 1))
 
 
-def _require_model(m: SymMatrixModel) -> None:
+def require_model(m: SymMatrixModel) -> None:
+    """Raise unless ``m`` is a well-formed model: a positive dimension, a
+    symmetric n x n matrix (:class:`AsymmetricInput`, naming the field) and
+    a positive ``L^n``."""
     if not _is_plain_int(m.n) or m.n < 1:
         raise InputError(f"matrix model dimension must be a positive integer, got {m.n!r}")
-    if not m.is_symmetric:
-        raise InputError("matrix model requires a symmetric square matrix")
+    f = m.entries
+    if len(f) != m.n or any(len(row) != m.n for row in f):
+        raise AsymmetricInput(f"F: expected a {m.n}x{m.n} matrix")
+    for i in range(m.n):
+        for j in range(i):
+            if f[i][j] != f[j][i]:
+                raise AsymmetricInput(
+                    f"F[{i}][{j}]: {format_rational(f[i][j])} differs from "
+                    f"F[{j}][{i}] = {format_rational(f[j][i])}; the matrix must be symmetric"
+                )
     if not _is_plain_int(m.top_l) or m.top_l <= 0:
         raise InputError(f"L^n must be a positive integer, got {m.top_l!r}")
 
@@ -259,7 +264,7 @@ def profile_from_matrix(m: SymMatrixModel) -> IntersectionProfile:
     every entry; non-integral entries mean the matrix does not model an
     integral bundle against this ``L^n`` and are an error, never rounded.
     """
-    _require_model(m)
+    require_model(m)
     cp = charpoly(m.entries)
     v = []
     for k in range(m.n + 1):
@@ -272,13 +277,6 @@ def profile_from_matrix(m: SymMatrixModel) -> IntersectionProfile:
             )
         v.append(value.numerator)
     return IntersectionProfile(m.n, tuple(v))
-
-
-def product_model(entries: Sequence[Sequence[Fraction | int]], top_l: int | None = None) -> SymMatrixModel:
-    """Convenience constructor; ``top_l`` defaults to ``n!``."""
-    n = len(entries)
-    rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
-    return SymMatrixModel(n, rows, factorial(n) if top_l is None else top_l)
 
 
 # ---------------------------------------------------------------------------

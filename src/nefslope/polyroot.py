@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InputError
 from .exactio import format_int, format_rational, parse_int, parse_rational
@@ -385,17 +385,28 @@ class AlgebraicNumber:
         return cls(minpoly, (lo, hi), parse_rational(exact, "exact") if exact is not None else None)
 
 
-def _bisect_once(a: AlgebraicNumber) -> AlgebraicNumber:
-    """One sign-test bisection step: the half of ``(lo, hi]`` that holds the
-    number, or the number made exact when the midpoint is a root."""
+def _bisections(a: AlgebraicNumber) -> Iterator[AlgebraicNumber]:
+    """Successive sign-test bisection steps of an inexact number: each is the
+    half of ``(lo, hi]`` that holds it, or the number made exact when the
+    midpoint is a root, which ends the sequence.
+
+    The sign at ``hi`` is evaluated once: ``hi`` only ever moves to a
+    midpoint of that same sign.
+    """
+    p = a.minpoly_factor
     lo, hi = a.interval
-    mid = (lo + hi) / 2
-    s = _sign_at(a.minpoly_factor, mid)
-    if s == 0:
-        return AlgebraicNumber.from_rational(mid)
-    if s == _sign_at(a.minpoly_factor, hi):
-        return AlgebraicNumber(a.minpoly_factor, (lo, mid))
-    return AlgebraicNumber(a.minpoly_factor, (mid, hi))
+    s_hi = _sign_at(p, hi)
+    while True:
+        mid = (lo + hi) / 2
+        s = _sign_at(p, mid)
+        if s == 0:
+            yield AlgebraicNumber.from_rational(mid)
+            return
+        if s == s_hi:
+            hi = mid
+        else:
+            lo = mid
+        yield AlgebraicNumber(p, (lo, hi))
 
 
 def refine(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
@@ -403,8 +414,9 @@ def refine(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
+    steps = _bisections(a)
     while a.exact is None and a.interval[1] - a.interval[0] > width:
-        a = _bisect_once(a)
+        a = next(steps)
     return a
 
 
@@ -416,10 +428,11 @@ def clear_lower_end(a: AlgebraicNumber) -> AlgebraicNumber:
     keeps both properties, since ``lo`` only grows and a bisection midpoint
     that is a root makes the number exact.
     """
+    steps = _bisections(a)
     while a.exact is None and (
         a.interval[0] <= 0 <= a.interval[1] or _sign_at(a.minpoly_factor, a.interval[0]) == 0
     ):
-        a = _bisect_once(a)
+        a = next(steps)
     return a
 
 

@@ -91,19 +91,6 @@ def norm_slope_check(spec: NormClassSpec) -> NormCheckResult:
     return NormCheckResult(passed, expected, result, proportional)
 
 
-def is_norm_endomorphism_model(m: SymMatrixModel, exponent: int) -> bool:
-    """Structural check ``F @ F == exponent^2 * F`` satisfied by every norm
-    pullback, diagonal or not."""
-    f = m.entries
-    n = m.n
-    e2 = Fraction(exponent**2)
-    for i in range(n):
-        for j in range(n):
-            if sum(f[i][t] * f[t][j] for t in range(n)) != e2 * f[i][j]:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Scanning.
 

@@ -1,10 +1,12 @@
-"""The top-level API: every exported name, and every name the benchmark imports, resolves."""
+"""The top-level API: every exported name, and every name the benchmark imports,
+resolves, and the CLI and ``scan`` accept the calls the benchmark makes."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import nefslope
+from nefslope import cli, simplicity
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -38,3 +40,19 @@ def test_bench_imports_resolve():
     names = bench_imports()
     assert "isolate_max_root" in names and "slope" in names
     assert [name for name in names if not resolves(name)] == []
+
+
+def test_bench_cli_calls_parse():
+    # The argument vectors of the benchmark's ``cli_argv`` methods
+    for argv in (
+        ["slope", "--input", "X"],
+        ["certify", "--input", "X"],
+        ["scan", "--input", "X"],
+        ["bound", "--level", "spectral", "--input", "X"],
+    ):
+        args = cli.build_parser().parse_args(argv)
+        assert (args.command, args.input) == (argv[0], "X")
+
+
+def test_scan_accepts_jobs():
+    assert simplicity.scan([], jobs=2).overall == simplicity.CONSISTENT

@@ -101,6 +101,14 @@ class TestCertifyCommand:
         assert code == 0
         assert (payload["p"], payload["q"]) == ("1", "3")
 
+    def test_ignores_width(self, capsys, monkeypatch):
+        # certify never refines, so an unparsable width must not reach it
+        argv = ["certify", "--input", SURFACE_IRRATIONAL]
+        expected = run(capsys, argv)
+        monkeypatch.setenv("NEFSLOPE_WIDTH", "abc")
+        assert run(capsys, argv) == expected
+        assert expected[0] == 0
+
     def test_infinite_is_precondition_violation(self, capsys):
         code, payload, err = run(capsys, ["certify", "--input", '{"n": 2, "v": [2, -3, 2]}'])
         assert code == 3
@@ -215,6 +223,8 @@ class TestErrorHandling:
             (["--input", SURFACE_IRRATIONAL, "--width", "1e-100000"], "width:"),
             (["--input", '{"n": 2, "Ln": "2", "F": [["1e-5000", "0"], ["0", "0"]]}'], "F[0][0]:"),
             (["--input", SURFACE_IRRATIONAL, "--width", "1e-3000000"], "width:"),
+            (["--input", '{"n": 2, "Ln": "2", "F": [[1, 2], [3, 1]]}'], "F[1][0]:"),
+            (["--input", '{"n": 2, "Ln": "2", "F": [[1, 2], [2]]}'], "F:"),
         ],
         ids=[
             "null-array",
@@ -224,6 +234,8 @@ class TestErrorHandling:
             "width-below-floor",
             "oversized-exponent",
             "oversized-width-exponent",
+            "asymmetric-matrix",
+            "ragged-matrix",
         ],
     )
     def test_typed_input_error(self, capsys, command, field):

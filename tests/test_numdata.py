@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nefslope.errors import InputError, NonIntegralProfile
-from nefslope.generators import SplitMix64
+from nefslope.generators import SplitMix64, gen_product
 from nefslope.numdata import (
     IntersectionProfile,
     SymMatrixModel,
@@ -16,7 +17,6 @@ from nefslope.numdata import (
     binary_profile,
     charpoly,
     is_proportional,
-    product_model,
     profile_from_matrix,
     validate,
 )
@@ -63,7 +63,7 @@ class TestProfileFromMatrix:
         rng = SplitMix64(42)
         for _ in range(120):
             n = rng.in_range(1, 5)
-            m = product_model(random_symmetric(rng, n, 6))
+            m = gen_product(n, random_symmetric(rng, n, 6))
             profile = profile_from_matrix(m)
             cp = charpoly(m.entries)
             expected = IntPolynomial.of(m.top_l * c for c in cp)
@@ -71,7 +71,7 @@ class TestProfileFromMatrix:
 
     def test_scalar_matrix_is_proportional(self):
         for t in (0, 1, 3, -2):
-            m = product_model([[t if i == j else 0 for j in range(3)] for i in range(3)])
+            m = gen_product(3, [[t if i == j else 0 for j in range(3)] for i in range(3)])
             assert is_proportional(profile_from_matrix(m)) == t
 
     def test_scalar_rational_matrix_with_scaled_polarization(self):
@@ -95,6 +95,27 @@ class TestCharpoly:
     def test_known_two_by_two(self):
         cp = charpoly(frac_rows([[2, 1], [1, 2]]))
         assert cp == (Fraction(3), Fraction(-4), Fraction(1))
+
+    def test_empty_matrix(self):
+        assert charpoly(()) == (Fraction(1),)
+
+    def test_ragged_rejected(self):
+        with pytest.raises(InputError):
+            charpoly(frac_rows([[1, 2], [2]]))
+
+    def test_against_sympy(self):
+        # Symmetric and general rational matrices, n = 0..10, denominators up to 12
+        rng = SplitMix64(2024)
+        for index in range(200):
+            n = index % 11
+            rows = [
+                [Fraction(rng.in_range(-20, 20), rng.in_range(1, 12)) for _ in range(n)] for _ in range(n)
+            ]
+            if index % 2:
+                rows = [[rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+            matrix = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row])
+            coeffs = matrix.charpoly().all_coeffs()[::-1]
+            assert charpoly(frac_rows(rows)) == tuple(Fraction(int(c.p), int(c.q)) for c in coeffs)
 
 
 class TestIsProportional:
@@ -150,7 +171,7 @@ class TestValidate:
         rng = SplitMix64(9)
         for _ in range(60):
             n = rng.in_range(1, 4)
-            profile = profile_from_matrix(product_model(random_symmetric(rng, n, 5)))
+            profile = profile_from_matrix(gen_product(n, random_symmetric(rng, n, 5)))
             assert validate(profile, ValidationLevel.SPECTRAL).ok
 
 

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nefslope import polyroot
 from nefslope.generators import SplitMix64
 from nefslope.numdata import IntersectionProfile
 from nefslope.polyroot import (
@@ -340,6 +341,17 @@ class TestRefine:
         # 2u - 1 on (0, 1]: the first midpoint is the root itself
         half = refine(AlgebraicNumber(P([-1, 2]), (Fraction(0), Fraction(1))), Fraction(1, 4))
         assert half.exact == Fraction(1, 2)
+
+    def test_sign_at_upper_end_evaluated_once(self, monkeypatch):
+        # 64 halvings of (1, 2] take one evaluation each, plus one at hi = 2
+        calls = []
+        sign_at = polyroot._sign_at
+        monkeypatch.setattr(polyroot, "_sign_at", lambda p, x: calls.append(x) or sign_at(p, x))
+        root = AlgebraicNumber(P([-2, 0, 1]), (Fraction(1), Fraction(2)))
+        tight = refine(root, Fraction(1, 2**64))
+        assert tight.interval[1] - tight.interval[0] <= Fraction(1, 2**64)
+        assert in_interval_surd(*tight.interval, Fraction(0), Fraction(1), 2)
+        assert len(calls) <= 65
 
     def test_reciprocal_with_root_at_lower_end(self):
         # (u - 1) (u^2 - 3) on (1, 2]: the excluded end 1 is a root, so the

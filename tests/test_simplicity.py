@@ -17,7 +17,6 @@ from nefslope.simplicity import (
     WITNESS_FOUND,
     NormClassSpec,
     boundary_endomorphism,
-    is_norm_endomorphism_model,
     kernel_rank,
     matrix_rank,
     norm_class,
@@ -47,11 +46,6 @@ class TestNormClass:
         m = norm_class(NormClassSpec(3, 1, 3))
         assert m.entries == diag([9, 0, 0])
         assert m.top_l == 6
-
-    def test_structural_identity(self):
-        for spec in (NormClassSpec(2, 1, 1), NormClassSpec(3, 2, 2), NormClassSpec(4, 1, 5)):
-            assert is_norm_endomorphism_model(norm_class(spec), spec.exponent)
-        assert not is_norm_endomorphism_model(gen_product(2, [[2, 1], [1, 2]]), 2)
 
 
 class TestNormSlopeCheck:
