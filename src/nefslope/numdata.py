@@ -43,11 +43,6 @@ class IntersectionProfile:
     def __post_init__(self):
         object.__setattr__(self, "v", tuple(self.v))
 
-    @property
-    def top_self_intersection(self) -> int:
-        """``L^n``, the last profile entry."""
-        return self.v[self.n]
-
     def to_json(self) -> dict:
         return {"n": self.n, "v": [format_int(x) for x in self.v]}
 
@@ -57,7 +52,9 @@ class IntersectionProfile:
             raise InputError("profile JSON must be an object with 'n' and 'v'")
         n = parse_int(data["n"], "n")
         v = tuple(parse_int(x, f"v[{k}]") for k, x in enumerate(_array(data["v"], "v")))
-        if n >= 1 and len(v) != n + 1:
+        if n < 1:
+            raise InputError(f"n: must be a positive integer, got {n}")
+        if len(v) != n + 1:
             raise InputError(f"v: expected n + 1 = {n + 1} entries, got {len(v)}")
         return cls(n, v)
 

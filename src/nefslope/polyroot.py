@@ -16,8 +16,11 @@ homogeneous integer Horner.  On top of this kernel the module provides:
   intervals ``(lo, hi]``, with ``lo``/``hi`` rationals or +-infinity;
 * ``isolate_max_root`` / ``refine`` -- certified isolation of the largest
   real root as an :class:`AlgebraicNumber`;
-* ``rational_roots`` -- complete rational-root extraction via divisor
-  pairs of the constant and leading coefficients;
+* ``positive_root_candidates`` -- the positive quotients r/s (r | c_0,
+  s | c_d) of the certificate trace, sorted as integer keys over
+  ``|c_d|``, with divisors by shrinking-cofactor trial division;
+  ``rational_root_candidates`` appends the negatives, ``rational_roots``
+  keeps the roots among them;
 * ``cauchy_bound`` -- the classical radius ``1 + max |c_k / c_d|``
   enclosing every root.
 
@@ -279,16 +282,28 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
 
 
 def _divisors(m: int) -> list[int]:
+    """Positive divisors of a nonzero ``m``, ascending.
+
+    ``|m|`` is factored by trial division with a shrinking cofactor: 2 and
+    then the odd ``d`` are tried, each prime found is divided out at once,
+    and the search stops when ``d^2`` exceeds what is left, which is then 1
+    or a prime.  The divisors are the products of the prime powers found.
+    """
     m = abs(m)
-    small, large = [], []
-    d = 1
+    divs = [1]
+    d = 2
     while d * d <= m:
         if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+            power, new = 1, []
+            while m % d == 0:
+                m //= d
+                power *= d
+                new += [x * power for x in divs]
+            divs += new
+        d += 1 if d == 2 else 2
+    if m > 1:
+        divs += [x * m for x in divs]
+    return sorted(divs)
 
 
 def _strip_zero_roots(p: IntPolynomial) -> tuple[IntPolynomial, int]:
@@ -298,6 +313,23 @@ def _strip_zero_roots(p: IntPolynomial) -> tuple[IntPolynomial, int]:
     return IntPolynomial(p.coeffs[k:]), k
 
 
+def positive_root_candidates(p: IntPolynomial) -> tuple[Fraction, ...]:
+    """The distinct positive candidates r/s with r | c_0 and s | c_d, descending.
+
+    Zero roots are stripped first.  Over ``D = |c_d|`` every candidate is
+    ``k/D`` with the integer key ``k = r (D/s)``, so the candidates are
+    deduplicated and ordered as integers and one ``Fraction`` is built per
+    distinct value.
+    """
+    core, _ = _strip_zero_roots(p)
+    if core.degree < 1:
+        return ()
+    lead = abs(core.coeffs[-1])
+    nums, dens = _divisors(core.coeffs[0]), _divisors(lead)
+    keys = {r * (lead // s) for r in nums for s in dens}
+    return tuple(Fraction(k, lead) for k in sorted(keys, reverse=True))
+
+
 def rational_root_candidates(p: IntPolynomial) -> tuple[Fraction, ...]:
     """All candidates +-r/s with r | |c_0| and s | |c_d|, in descending order.
 
@@ -305,13 +337,8 @@ def rational_root_candidates(p: IntPolynomial) -> tuple[Fraction, ...]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    core, _ = _strip_zero_roots(p)
-    if core.degree < 1:
-        return ()
-    nums = _divisors(core.coeffs[0])
-    dens = _divisors(core.coeffs[-1])
-    cands = {Fraction(sign * r, s) for r in nums for s in dens for sign in (1, -1)}
-    return tuple(sorted(cands, reverse=True))
+    positive = positive_root_candidates(p)
+    return positive + tuple(-c for c in reversed(positive))
 
 
 def rational_roots(p: IntPolynomial) -> tuple[Fraction, ...]:
@@ -346,10 +373,6 @@ class AlgebraicNumber:
         value = Fraction(value)
         minpoly = IntPolynomial((-value.numerator, value.denominator))
         return cls(minpoly, (value - 1, value), value)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.exact is not None
 
     def midpoint(self) -> Fraction:
         if self.exact is not None:
@@ -471,16 +494,21 @@ def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:
 # ---------------------------------------------------------------------------
 # Maximal-root isolation.
 
-def _isolate_topmost(chain: SturmChain, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink ``(lo, hi]`` (containing >= 1 root, none above) around the largest root."""
-    count = sturm_count(chain, lo, hi)
-    while count > 1:
+def _isolate_topmost(chain: SturmChain, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction] | None:
+    """Shrink ``(lo, hi]`` (no root above ``hi``) around the largest root, or
+    None if it holds no root.  The variation counts at both ends are carried,
+    so each bisection step evaluates the chain once, at the midpoint.
+    """
+    v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
+    if v_lo == v_hi:
+        return None
+    while v_lo - v_hi > 1:
         mid = (lo + hi) / 2
-        upper = sturm_count(chain, mid, hi)
-        if upper >= 1:
-            lo, count = mid, upper
+        v_mid = _variations(chain, mid)
+        if v_mid > v_hi:
+            lo, v_lo = mid, v_mid
         else:
-            hi, count = mid, count - upper
+            hi, v_hi = mid, v_mid
     return lo, hi
 
 
@@ -499,11 +527,11 @@ def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
     chain = sturm_chain(p)
     h = chain.polys[0]
     bound = cauchy_bound(h)
-    if sturm_count(chain, -bound, bound) == 0:
+    top = _isolate_topmost(chain, -bound, bound)
+    if top is None:
         return None
-    lo, hi = _isolate_topmost(chain, -bound, bound)
     denom = h.coeffs[-1]
-    root = refine(AlgebraicNumber(h, (lo, hi)), Fraction(1, 2 * denom * denom))
+    root = refine(AlgebraicNumber(h, top), Fraction(1, 2 * denom * denom))
     if root.exact is not None:
         return root
     lo, hi = root.interval

@@ -34,7 +34,7 @@ from .polyroot import (
     clear_lower_end,
     compare_with_rational,
     isolate_max_root,
-    rational_root_candidates,
+    positive_root_candidates,
     reciprocal,
     refine,
 )
@@ -66,14 +66,16 @@ class CandidateTrace:
     maximal root of ``chi``, in descending order, with the exact value of
     ``chi`` at it; it is computed on first access, so a trace nobody reads
     costs nothing.  A rational maximal root is the candidate at which the
-    value is zero; for an irrational one every value is nonzero.
+    value is zero; for an irrational one every value is nonzero.  Only
+    positive candidates are built: they are deduplicated and ordered as
+    integer keys over ``|c_d|`` (see ``positive_root_candidates``).
     """
 
     chi: IntPolynomial
 
     @cached_property
     def candidates(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple((c, self.chi(c)) for c in rational_root_candidates(self.chi) if c > 0)
+        return tuple((c, self.chi(c)) for c in positive_root_candidates(self.chi))
 
     def to_json(self) -> list:
         return [

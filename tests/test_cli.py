@@ -225,6 +225,8 @@ class TestErrorHandling:
             (["--input", SURFACE_IRRATIONAL, "--width", "1e-3000000"], "width:"),
             (["--input", '{"n": 2, "Ln": "2", "F": [[1, 2], [3, 1]]}'], "F[1][0]:"),
             (["--input", '{"n": 2, "Ln": "2", "F": [[1, 2], [2]]}'], "F:"),
+            (["--input", '{"n": -1, "v": []}'], "n: must be a positive integer, got -1"),
+            (["--input", '{"n": 0, "v": [1]}'], "n: must be a positive integer, got 0"),
         ],
         ids=[
             "null-array",
@@ -236,6 +238,8 @@ class TestErrorHandling:
             "oversized-width-exponent",
             "asymmetric-matrix",
             "ragged-matrix",
+            "n-negative",
+            "n-zero",
         ],
     )
     def test_typed_input_error(self, capsys, command, field):

@@ -145,6 +145,19 @@ class TestCauchyBound:
         assert sturm_count(chain, NEG_INF, POS_INF) == sturm_count(chain, -bound, bound)
 
 
+def _reference_candidates(p: IntPolynomial) -> tuple[Fraction, ...]:
+    """The plain enumeration: a Fraction set of +-r/s over both divisor
+    lists, sorted descending."""
+    coeffs = list(p.coeffs)
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    if len(coeffs) < 2:
+        return ()
+    nums, dens = sympy.divisors(coeffs[0]), sympy.divisors(coeffs[-1])
+    cands = {Fraction(sign * r, s) for r in nums for s in dens for sign in (1, -1)}
+    return tuple(sorted(cands, reverse=True))
+
+
 class TestRationalRoots:
     def test_two_roots(self):
         assert set(rational_roots(P([3, -10, 3]))) == {Fraction(3), Fraction(1, 3)}
@@ -159,6 +172,27 @@ class TestRationalRoots:
         cands = rational_root_candidates(P([2, -6, 2]))
         assert cands == tuple(sorted(cands, reverse=True))
         assert set(c for c in cands if c > 0) == {Fraction(2), Fraction(1), Fraction(1, 2)}
+
+    def test_divisors_against_sympy(self):
+        rng = SplitMix64(4099)
+        values = [1, -1, 999999999989, 999983**2, -(999983**2)] + [2**k for k in range(41)]
+        for _ in range(250):
+            m = rng.in_range(1, 10 ** rng.in_range(1, 12))
+            values.append(-m if rng.below(2) else m)
+        for m in values:
+            assert polyroot._divisors(m) == sympy.divisors(m), m
+
+    def test_candidates_against_fraction_set(self):
+        # Degrees 1..9 with up to two zero roots, constants up to 10^12 and
+        # leads of either sign up to 10^6.
+        rng = SplitMix64(8191)
+        for _ in range(300):
+            degree = rng.in_range(1, 9)
+            coeffs = [rng.in_range(-10**4, 10**4) for _ in range(degree + 1)]
+            coeffs[0] = rng.in_range(-(10 ** rng.in_range(1, 12)), 10 ** rng.in_range(1, 12))
+            coeffs[-1] = rng.in_range(1, 10 ** rng.in_range(1, 6)) * (-1 if rng.below(2) else 1)
+            p = P([0] * rng.below(3) + coeffs)
+            assert rational_root_candidates(p) == _reference_candidates(p), p
 
     @given(st.lists(st.integers(-60, 60), min_size=2, max_size=8))
     def test_roots_satisfy_divisor_conditions(self, coeffs):
@@ -231,6 +265,19 @@ class TestIsolateMaxRoot:
         ilo, ihi = inv.interval
         assert sturm_count(sturm_chain(inv.minpoly_factor), ilo, ihi) == 1
         assert ilo * ilo < Fraction(1, d) < ihi * ihi
+
+    @pytest.mark.parametrize(
+        "p,limit", [(from_roots([1, 2, 3, 4, 5, 6]), 13), (P([-2, 0, 1]), 3)], ids=["six-roots", "sqrt2"]
+    )
+    def test_chain_evaluated_once_per_bisection(self, monkeypatch, p, limit):
+        # Both ends' variation counts are carried along, and the starting
+        # interval is counted once.
+        calls = []
+        variations = polyroot._variations
+        monkeypatch.setattr(polyroot, "_variations", lambda chain, x: calls.append(x) or variations(chain, x))
+        root = isolate_max_root(p)
+        assert root.exact == 6 or in_interval_surd(*root.interval, Fraction(0), Fraction(1), 2)
+        assert len(calls) <= limit
 
     def test_max_root_at_zero(self):
         # u^2 (u + 3)

@@ -11,8 +11,9 @@ from nefslope.numdata import (
     binary_profile,
     profile_from_matrix,
 )
-from nefslope.polyroot import compare_with_rational, refine
+from nefslope.polyroot import chi_polynomial, compare_with_rational, rational_root_candidates, refine
 from nefslope.slope import (
+    CandidateTrace,
     IrrationalSlope,
     RationalSlope,
     certify_rationality,
@@ -147,6 +148,18 @@ class TestCertify:
         assert cands[Fraction(1)] == -2
         assert cands[Fraction(1, 2)] == Fraction(-1, 2)
         assert all(v != 0 for v in cands.values())
+
+    def test_trace_is_the_positive_candidates(self):
+        # The benchmark's stage replay counts the trace this way.
+        profiles = (
+            profiles_from(GenSpec("product-matrix", seed=14, count=30, n=4, bound=6))
+            + profiles_from(GenSpec("surface", seed=15, count=60, bound=10**6))
+            + [surface(0, 3, 2)]
+        )
+        for profile in profiles:
+            chi = chi_polynomial(profile)
+            expected = tuple((c, chi(c)) for c in rational_root_candidates(chi) if c > 0)
+            assert CandidateTrace(chi).candidates == expected
 
     def test_proportional_pair(self):
         cert = certify_rationality(surface(8, 4, 2))
