@@ -67,22 +67,24 @@ def _json_int(text: str) -> int | str:
 
 
 def _read_payload(text_or_path: str):
-    if text_or_path == "-":
-        raw = sys.stdin.read()
-    elif text_or_path.lstrip().startswith(("{", "[")):
-        raw = text_or_path
-    else:
-        try:
+    try:
+        if text_or_path == "-":
+            raw = sys.stdin.read()
+        elif text_or_path.lstrip().startswith(("{", "[")):
+            raw = text_or_path
+        else:
             with open(text_or_path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read input: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read input: {exc}") from exc
     try:
         return json.loads(raw, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON at line {exc.lineno} column {exc.colno} (char {exc.pos}): {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputError("malformed JSON: arrays and objects are nested too deeply") from exc
 
 
 def _load_profile(data, level: ValidationLevel) -> IntersectionProfile:

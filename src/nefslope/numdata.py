@@ -120,16 +120,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> dict:
-        return {
-            "level": self.level.name.lower(),
-            "ok": self.ok,
-            "violations": [
-                {"check": w.check, "message": w.message, "witness": [str(x) for x in w.witness]}
-                for w in self.violations
-            ],
-        }
-
 
 def _is_plain_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)

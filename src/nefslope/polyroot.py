@@ -9,11 +9,11 @@ homogeneous integer Horner.  On top of this kernel the module provides:
 * ``chi_polynomial`` -- the degree-n integer polynomial attached to an
   intersection profile, whose maximal real root is the reciprocal of the
   nef threshold;
-* ``squarefree_part`` -- ``p / gcd(p, p')``, on which every root question
-  is asked (a polynomial is real-rooted exactly when the Sturm count of
-  its square-free part equals that part's degree);
-* Sturm chains and ``sturm_count`` for exact root counting on half-open
-  intervals ``(lo, hi]``, with ``lo``/``hi`` rationals or +-infinity;
+* Sturm chains of the square-free part ``p / gcd(p, p')``, on which every
+  root question is asked: one signed PRS of ``p`` and ``p'`` gives the gcd
+  and, for square-free ``p``, the chain; ``squarefree_part`` reads the part
+  off the chain.  ``sturm_count`` counts roots on half-open intervals
+  ``(lo, hi]``, with ``lo``/``hi`` rationals or +-infinity;
 * ``isolate_max_root`` / ``refine`` -- certified isolation of the largest
   real root as an :class:`AlgebraicNumber`;
 * ``positive_root_candidates`` -- the positive quotients r/s (r | c_0,
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isinf
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InputError
@@ -200,24 +200,6 @@ def _exquo(a: IntPolynomial, b: IntPolynomial) -> list[int]:
     return out
 
 
-def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """``p / gcd(p, p')`` as a primitive integer polynomial with positive lead.
-
-    The gcd is the last nonzero term of the primitive pseudo-remainder
-    sequence of ``p`` and ``p'``.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no square-free part")
-    if p.degree == 0:
-        return IntPolynomial((1,))
-    a, b = _primitive(p.coeffs), _primitive(p.derivative().coeffs)
-    while not b.is_zero:
-        a, b = b, _primitive(_prem(a, b))
-    if a.degree == 0:
-        return _primitive(p.coeffs, positive_lead=True)
-    return _primitive(_exquo(p, a), positive_lead=True)
-
-
 # ---------------------------------------------------------------------------
 # Sturm chains and root counting.
 
@@ -233,29 +215,46 @@ class SturmChain:
 
 
 def sturm_chain(p: IntPolynomial) -> SturmChain:
+    """Sturm chain of the square-free part of ``p``.
+
+    The signed primitive PRS of ``f0`` and ``f0'`` ends in ``gcd(p, p')`` up
+    to sign: a constant end makes it the chain, otherwise it runs once more
+    on the square-free ``f0 / gcd``.
+    """
     if p.is_zero:
         raise ValueError("cannot build a Sturm chain for the zero polynomial")
-    f0 = squarefree_part(p)
-    seq = [f0]
-    f1 = _primitive(f0.derivative().coeffs)
-    while not f1.is_zero:
-        seq.append(f1)
-        f1 = _primitive(-c for c in _prem(seq[-2], seq[-1]))
-    return SturmChain(tuple(seq))
+    f0 = _primitive(p.coeffs, positive_lead=True)
+    while True:
+        seq, f1 = [f0], _primitive(f0.derivative().coeffs)
+        while not f1.is_zero:
+            seq.append(f1)
+            f1 = _primitive(-c for c in _prem(seq[-2], seq[-1]))
+        if seq[-1].degree == 0:
+            return SturmChain(tuple(seq))
+        f0 = _primitive(_exquo(f0, seq[-1]), positive_lead=True)
 
 
-def _sign_at(p: IntPolynomial, x: Endpoint) -> int:
+def squarefree_part(p: IntPolynomial) -> IntPolynomial:
+    """``p / gcd(p, p')``, primitive with positive lead: the first term of
+    the Sturm chain, read off its signed PRS."""
     if p.is_zero:
-        return 0
-    if x == POS_INF:
-        return _sgn(p.coeffs[-1])
-    if x == NEG_INF:
-        return _sgn(p.coeffs[-1]) * (-1 if p.degree % 2 else 1)
+        raise ValueError("zero polynomial has no square-free part")
+    return sturm_chain(p).polys[0]
+
+
+def _sign_at(p: IntPolynomial, x: Fraction | int) -> int:
+    """Sign of ``p`` at a finite rational ``x``."""
     return _sgn(_scaled_value(p, x))
 
 
 def _variations(chain: SturmChain, x: Endpoint) -> int:
-    signs = [s for s in (_sign_at(q, x) for q in chain.polys) if s != 0]
+    if isinstance(x, float) and isinf(x):
+        # Each term has the sign of its lead, flipped at -inf for odd degree.
+        odd_sign = -1 if x < 0 else 1
+        signs = [_sgn(q.coeffs[-1]) * (odd_sign if q.degree % 2 else 1) for q in chain.polys]
+    else:
+        signs = [_sign_at(q, x) for q in chain.polys]
+    signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 

@@ -227,6 +227,8 @@ class TestErrorHandling:
             (["--input", '{"n": 2, "Ln": "2", "F": [[1, 2], [2]]}'], "F:"),
             (["--input", '{"n": -1, "v": []}'], "n: must be a positive integer, got -1"),
             (["--input", '{"n": 0, "v": [1]}'], "n: must be a positive integer, got 0"),
+            (["--input", "{tmp}/non-utf8.json"], "cannot read input: 'utf-8' codec can't decode"),
+            (["--input", "[" * 3000 + "]" * 3000], "malformed JSON: arrays and objects are nested too deeply"),
         ],
         ids=[
             "null-array",
@@ -240,9 +242,13 @@ class TestErrorHandling:
             "ragged-matrix",
             "n-negative",
             "n-zero",
+            "non-utf8-file",
+            "deep-nesting",
         ],
     )
-    def test_typed_input_error(self, capsys, command, field):
+    def test_typed_input_error(self, capsys, tmp_path, command, field):
+        (tmp_path / "non-utf8.json").write_bytes(b"\xff\xfe{}")
+        command = [arg.replace("{tmp}", str(tmp_path)) for arg in command]
         code, payload, err = run(capsys, ["slope"] + command)
         assert code == 2
         assert payload is None

@@ -1,0 +1,138 @@
+"""In-process fuzz test of the command-line interface.
+
+Every input is answered or rejected with a typed exit code: 0, 10
+(scan witness), 2 (input error) or 3 (precondition violation), and no
+exception escapes ``main``.  Examples are derandomized so the suite stays
+deterministic, and sizes stay small (n <= 5, entries <= 10^6).
+"""
+
+import contextlib
+import io
+import json
+from math import factorial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nefslope.cli import main
+
+EXIT_CODES = {0, 2, 3, 10}
+COMMANDS = ("slope", "nef", "certify", "bound", "scan")
+LEVELS = ("syntactic", "spectral", "hodge")
+
+FUZZ = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+commands = st.sampled_from(COMMANDS)
+levels = st.sampled_from(LEVELS)
+entries = st.integers(-(10**6), 10**6)
+json_scalars = st.none() | st.booleans() | st.integers(-(10**6), 10**6) | st.text(max_size=8)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+def run(command, level, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--input", text, "--level", level])
+    assert code in EXIT_CODES, (code, err.getvalue())
+
+
+def wire(x, as_string):
+    return str(x) if as_string else x
+
+
+@st.composite
+def profiles(draw):
+    """``{"n", "v"}`` with a positive L^n = v[n]; one draw in five has a
+    bad n, a wrong length or any L^n."""
+    bad = draw(st.integers(0, 4)) == 0
+    n = draw(st.integers(-1, 5) if bad else st.integers(1, 5))
+    v = [draw(entries) for _ in range(max(n, 0))] + [draw(entries if bad else st.integers(1, 10**6))]
+    if bad:
+        v = draw(st.sampled_from([v, v[1:], v + [1]]))
+    as_string = draw(st.booleans())
+    return {"n": n, "v": [wire(x, as_string) for x in v]}
+
+
+@st.composite
+def matrix_models(draw):
+    """``{"n", "Ln", "F"}`` with integral F and n! | L^n, so that the
+    profile is integral; one draw in five has rational entries, an
+    asymmetric F or any L^n."""
+    bad = draw(st.integers(0, 4)) == 0
+    n = draw(st.integers(1, 5))
+    cells = {}
+    for i in range(n):
+        for j in range(i, n):
+            num = draw(entries)
+            den = draw(st.integers(1, 10**6)) if bad else 1
+            cells[i, j] = cells[j, i] = f"{num}/{den}" if den > 1 else str(num)
+    if bad and n > 1:
+        cells[0, 1] = str(draw(entries))
+    rows = [[cells[i, j] for j in range(n)] for i in range(n)]
+    top_l = draw(st.integers(-3, 10**6)) if bad else factorial(n) * draw(st.integers(1, 1000))
+    return {"n": n, "Ln": wire(top_l, draw(st.booleans())), "F": rows}
+
+
+instances = profiles() | matrix_models()
+
+
+@st.composite
+def invocations(draw):
+    """A subcommand with one instance, or ``scan`` with up to three."""
+    command = draw(commands)
+    first = draw(instances)
+    if command != "scan":
+        return command, first
+    items = [first] + draw(st.lists(instances, max_size=2))
+    # One scan is one polarized variety: the entries share the first L^n.
+    top_l = first["Ln"] if "F" in first else (first["v"] or [1])[-1]
+    items = [dict(item, Ln=top_l) if "F" in item else dict(item, v=item["v"][:-1] + [top_l]) for item in items]
+    return command, [dict(item, label=f"i{k}") for k, item in enumerate(items)]
+
+
+@st.composite
+def nested_json(draw):
+    """A JSON value wrapped in up to 4000 arrays or single-key objects,
+    placed as a whole document or inside a profile field."""
+    depth = draw(st.integers(0, 4000))
+    opener, closer = draw(st.sampled_from([("[", "]"), ('{"v": ', "}")]))
+    text = opener * depth + json.dumps(draw(json_values)) + closer * depth
+    where = draw(st.sampled_from(["document", "v", "v-entry", "F", "label"]))
+    if where == "document":
+        return text
+    if where == "v":
+        return f'{{"n": 2, "v": {text}}}'
+    if where == "v-entry":
+        return f'{{"n": 2, "v": [2, {text}, 2]}}'
+    if where == "F":
+        return f'{{"n": 1, "Ln": 1, "F": {text}}}'
+    return f'[{{"label": {text}, "n": 2, "v": [0, 1, 2]}}]'
+
+
+class TestCliFuzz:
+    @FUZZ
+    @given(data=st.binary(max_size=64), command=commands, level=levels)
+    def test_random_bytes_file(self, input_file, data, command, level):
+        input_file.write_bytes(data)
+        run(command, level, str(input_file))
+
+    @FUZZ
+    @given(text=nested_json(), command=commands, level=levels)
+    def test_nested_json(self, text, command, level):
+        run(command, level, text)
+
+    @FUZZ
+    @given(invocation=invocations(), level=levels)
+    def test_profiles_and_matrices(self, invocation, level):
+        command, payload = invocation
+        run(command, level, json.dumps(payload))

@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nefslope import polyroot
-from nefslope.generators import SplitMix64
-from nefslope.numdata import IntersectionProfile
+from nefslope.generators import GenSpec, SplitMix64, gen_random
+from nefslope.numdata import IntersectionProfile, ValidationLevel, profile_from_matrix, validate
 from nefslope.polyroot import (
     NEG_INF,
     POS_INF,
@@ -29,6 +29,7 @@ from nefslope.polyroot import (
     sturm_chain,
     sturm_count,
 )
+from nefslope.slope import slope
 from oracle import in_interval_surd
 
 P = IntPolynomial.of
@@ -119,6 +120,77 @@ class TestSturm:
             if p.degree < 1:
                 continue
             assert sturm_count(sturm_chain(p), NEG_INF, POS_INF) == len(roots)
+
+
+def _reference_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
+    """The two-PRS construction: the square-free part from an unsigned
+    primitive PRS of p and p', then a signed PRS of that part for the chain."""
+    if p.degree == 0:
+        h = P([1])
+    else:
+        a, b = polyroot._primitive(p.coeffs), polyroot._primitive(p.derivative().coeffs)
+        while not b.is_zero:
+            a, b = b, polyroot._primitive(polyroot._prem(a, b))
+        h = p if a.degree == 0 else P(polyroot._exquo(p, a))
+        h = polyroot._primitive(h.coeffs, positive_lead=True)
+    seq = [h]
+    f1 = polyroot._primitive(h.derivative().coeffs)
+    while not f1.is_zero:
+        seq.append(f1)
+        f1 = polyroot._primitive(-c for c in polyroot._prem(seq[-2], seq[-1]))
+    return tuple(seq)
+
+
+def _seeded_polynomials(seed: int, count: int):
+    """Products of small factors with multiplicities up to 3, up to two zero
+    roots, leads of either sign, and some constants."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        p = P([rng.in_range(1, 12) * (-1 if rng.below(2) else 1)])
+        for _ in range(rng.below(4)):
+            factor = P([rng.in_range(-9, 9) for _ in range(rng.in_range(1, 3))] + [rng.in_range(1, 4)])
+            for _ in range(rng.in_range(1, 3)):
+                p = _mul(p, factor)
+        yield _mul(p, P([0] * rng.below(3) + [1]))
+
+
+class TestOnePrs:
+    def test_chain_matches_two_prs_reference(self):
+        seen = set()
+        for p in _seeded_polynomials(2718, 300):
+            seen.add((p.degree == 0, p.coeffs[-1] < 0, p.coeffs[0] == 0))
+            assert sturm_chain(p).polys == _reference_chain(p), p
+            assert squarefree_part(p) == _reference_chain(p)[0], p
+        # constants, negative leads and zero roots all occur
+        assert {(True, True, False), (False, True, True), (False, False, False)} <= seen
+
+    @pytest.mark.parametrize(
+        "p,limit",
+        [(P([-2, 0, 1]), 2), (from_roots([1, 2, 3]), 3), (P([1, 0, -2, 0, 1]), 4)],
+        ids=["sqrt2", "three-roots", "square"],
+    )
+    def test_one_prs_per_square_free_chain(self, monkeypatch, p, limit):
+        # A square-free input takes one PRS; (u^2 - 1)^2 takes a second one
+        # on its square-free part u^2 - 1.
+        calls = []
+        prem = polyroot._prem
+        monkeypatch.setattr(polyroot, "_prem", lambda a, b: calls.append(b) or prem(a, b))
+        sturm_chain(p)
+        assert len(calls) == limit
+
+    def test_sign_kernel_sees_finite_points_only(self, monkeypatch):
+        # Infinite ends are resolved in _variations from leads and degrees.
+        seen = []
+        sign_at = polyroot._sign_at
+        monkeypatch.setattr(polyroot, "_sign_at", lambda p, x: seen.append(x) or sign_at(p, x))
+        profiles = [IntersectionProfile(2, (2, 3, 2)), IntersectionProfile(2, (0, 1, 2))]
+        for kind, n in (("product-matrix", 4), ("rational-matrix", 3)):
+            profiles += [profile_from_matrix(m) for m in gen_random(GenSpec(kind, seed=5, count=3, n=n))]
+        for profile in profiles:
+            assert validate(profile, ValidationLevel.SPECTRAL).ok
+            slope(profile)
+        assert seen
+        assert all(isinstance(x, (int, Fraction)) for x in seen)
 
 
 def _mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
