@@ -3,7 +3,8 @@
 All exact values are serialized as decimal strings ("p" or "p/q") so that
 consumers limited to 64-bit JSON numbers never truncate them.  Parsers
 accept plain JSON integers as well, and name the input field in every
-error they raise.
+error they raise.  This is the one module that checks the int-string limit:
+on input, on output (an :class:`InputError`) and in messages (a bit length).
 """
 
 from __future__ import annotations
@@ -63,11 +64,24 @@ def parse_rational(value: int | str, field: str) -> Fraction:
 
 
 def format_int(value: int) -> str:
-    return str(int(value))
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise InputError(
+            f"cannot write an integer of {value.bit_length()} bits: it passes the {limit}-digit limit"
+        ) from None
 
 
 def format_rational(value: Fraction | int) -> str:
-    value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return format_int(value.numerator)
+    return f"{format_int(value.numerator)}/{format_int(value.denominator)}"
+
+
+def describe_int(value: int) -> str:
+    """``str(value)`` for messages, or its bit length past the int-string limit; never raises."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"

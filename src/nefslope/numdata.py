@@ -19,11 +19,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from .errors import AsymmetricInput, InputError, NonIntegralProfile
-from .exactio import format_int, format_rational, parse_int, parse_rational
+from .exactio import describe_int, format_int, format_rational, parse_int, parse_rational
 from .polyroot import NEG_INF, POS_INF, chi_polynomial, sturm_chain, sturm_count
 
 
@@ -141,7 +141,7 @@ def _syntactic_violations(p: IntersectionProfile) -> list[Violation]:
         return out
     if p.v[p.n] <= 0:
         out.append(
-            Violation("ample-top", f"L^n must be positive, got {p.v[p.n]}", (p.v[p.n],))
+            Violation("ample-top", f"L^n must be positive, got {describe_int(p.v[p.n])}", (p.v[p.n],))
         )
     return out
 
@@ -180,7 +180,7 @@ def validate(p: IntersectionProfile, level: ValidationLevel) -> ValidationReport
             violations.append(
                 Violation(
                     "hodge-index",
-                    f"(L.M)^2 = {p.v[1] ** 2} < L^2 M^2 = {p.v[2] * p.v[0]}",
+                    f"(L.M)^2 = {describe_int(p.v[1] ** 2)} < L^2 M^2 = {describe_int(p.v[2] * p.v[0])}",
                     (p.v[1] ** 2, p.v[2] * p.v[0]),
                 )
             )
@@ -197,14 +197,10 @@ def require_valid(p: IntersectionProfile) -> None:
 # ---------------------------------------------------------------------------
 # Matrix model.
 
-def charpoly(entries: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    """Coefficients of ``det(u I - F)``, ascending, by Berkowitz on the
-    denominator-cleared integer matrix.
-
-    With ``D`` the lcm of the entries' denominators, the division-free
-    Berkowitz recurrence gives ``det(u I - D F) = sum c_k u^k`` in integers,
-    and the k-th coefficient of ``det(u I - F)`` is ``c_k / D^(n-k)``.
-    """
+def _berkowitz(entries: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[int]]:
+    """``D``, the lcm of the entries' denominators, and the coefficients of
+    ``det(u I - D F)``, ascending, by the division-free Berkowitz recurrence
+    on the integer matrix ``D F``."""
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise InputError("matrix must be square")
@@ -221,7 +217,14 @@ def charpoly(entries: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
             t.append(-sum(x * y for x, y in zip(a[r], col)))
             col = [sum(x * y for x, y in zip(a[i], col)) for i in range(r)]
         c = [sum(t[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
-    return tuple(Fraction(c[n - k], d ** (n - k)) for k in range(n + 1))
+    return d, c[::-1]
+
+
+def charpoly(entries: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
+    """Coefficients of ``det(u I - F)``, ascending: ``c_k / D^(n-k)`` for the
+    integers ``D`` and ``c_k`` of :func:`_berkowitz`."""
+    d, c = _berkowitz(entries)
+    return tuple(Fraction(ck, d ** (len(c) - 1 - k)) for k, ck in enumerate(c))
 
 
 def require_model(m: SymMatrixModel) -> None:
@@ -248,21 +251,25 @@ def profile_from_matrix(m: SymMatrixModel) -> IntersectionProfile:
     """Intersection profile of the modelled pair.
 
     The identity ``chi_polynomial(profile) = L^n * charpoly(F)`` pins down
-    every entry; non-integral entries mean the matrix does not model an
-    integral bundle against this ``L^n`` and are an error, never rounded.
+    every entry: with ``det(u I - D F) = sum c_k u^k`` in integers,
+    ``v[k] = (-1)^(n-k) L^n c_k / (D^(n-k) C(n, k))``, one exact division.
+    Non-integral entries mean the matrix does not model an integral bundle
+    against this ``L^n`` and are an error, never rounded.
     """
     require_model(m)
-    cp = charpoly(m.entries)
+    d, c = _berkowitz(m.entries)
     v = []
-    for k in range(m.n + 1):
-        value = Fraction(m.top_l) * (-1) ** (m.n - k) * cp[k] / comb(m.n, k)
-        if value.denominator != 1:
+    for k, ck in enumerate(c):
+        num = (-1) ** (m.n - k) * m.top_l * ck
+        den = d ** (m.n - k) * comb(m.n, k)
+        value, rest = divmod(num, den)
+        if rest:
             # str() of a huge denominator passes the int-string limit.
             raise NonIntegralProfile(
                 f"entry k={k} is not an integer: its denominator has "
-                f"{value.denominator.bit_length()} bits (L^n = {m.top_l})"
+                f"{(den // gcd(num, den)).bit_length()} bits (L^n = {describe_int(m.top_l)})"
             )
-        v.append(value.numerator)
+        v.append(value)
     return IntersectionProfile(m.n, tuple(v))
 
 

@@ -34,12 +34,12 @@ field is set; no numeric equality test against rationals is ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, gcd, isinf
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import InputError
-from .exactio import format_int, format_rational, parse_int, parse_rational
+from .exactio import describe_int, format_int, format_rational
 
 if TYPE_CHECKING:
     from .numdata import IntersectionProfile
@@ -116,9 +116,9 @@ class IntPolynomial:
                 continue
             mag = abs(c)
             if k == 0:
-                term = str(mag)
+                term = describe_int(mag)
             else:
-                head = "" if mag == 1 else f"{mag}*"
+                head = "" if mag == 1 else f"{describe_int(mag)}*"
                 term = f"{head}u" if k == 1 else f"{head}u^{k}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
@@ -128,12 +128,6 @@ class IntPolynomial:
 
     def to_json(self) -> dict:
         return {"coeffs": [format_int(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "IntPolynomial":
-        if not isinstance(data, dict) or "coeffs" not in data:
-            raise InputError("polynomial JSON must be an object with a 'coeffs' array")
-        return cls.of(parse_int(c, f"coeffs[{k}]") for k, c in enumerate(data["coeffs"]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +373,17 @@ class AlgebraicNumber:
         lo, hi = self.interval
         return (lo + hi) / 2
 
-    def __float__(self) -> float:
-        return float(self.midpoint())
-
     def __str__(self) -> str:
         if self.exact is not None:
             return f"{format_rational(self.exact)} (exact)"
         lo, hi = self.interval
-        return f"~{float((lo + hi) / 2):.12g} in ({format_rational(lo)}, {format_rational(hi)}]"
+        mid = (lo + hi) / 2
+        try:
+            approx = f"{float(mid):.12g}"
+        except OverflowError:  # past the float range: decimal arithmetic at the same precision
+            with localcontext(prec=12):
+                approx = f"{Decimal(mid.numerator) / mid.denominator:.12g}"
+        return f"~{approx} in ({format_rational(lo)}, {format_rational(hi)}]"
 
     def to_json(self) -> dict:
         lo, hi = self.interval
@@ -395,16 +392,6 @@ class AlgebraicNumber:
             "interval": [format_rational(lo), format_rational(hi)],
             "exact": format_rational(self.exact) if self.exact is not None else None,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "AlgebraicNumber":
-        try:
-            minpoly = IntPolynomial.from_json(data["minpoly"])
-            lo, hi = (parse_rational(x, "interval") for x in data["interval"])
-            exact = data.get("exact")
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed algebraic number: {data!r}") from exc
-        return cls(minpoly, (lo, hi), parse_rational(exact, "exact") if exact is not None else None)
 
 
 def _bisections(a: AlgebraicNumber) -> Iterator[AlgebraicNumber]:

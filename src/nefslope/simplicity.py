@@ -21,9 +21,11 @@ from .exactio import format_rational
 from .numdata import (
     IntersectionProfile,
     SymMatrixModel,
+    _berkowitz,
     binary_profile,
     is_proportional,
     profile_from_matrix,
+    require_model,
     require_valid,
 )
 from .slope import (
@@ -186,7 +188,9 @@ def scan(
 # Kernel of the boundary endomorphism.
 
 def boundary_endomorphism(m: SymMatrixModel, slope_value: Fraction) -> tuple[tuple[Fraction, ...], ...]:
-    """The matrix ``q I - p F`` attached to the boundary class for threshold p/q."""
+    """The matrix ``q I - p F`` attached to the boundary class for threshold p/q;
+    :class:`AsymmetricInput` unless ``F`` is a symmetric n x n matrix."""
+    require_model(m)
     value = Fraction(slope_value)
     p, q = value.numerator, value.denominator
     f = m.entries
@@ -196,30 +200,12 @@ def boundary_endomorphism(m: SymMatrixModel, slope_value: Fraction) -> tuple[tup
     )
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    m = [list(row) for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    rank = 0
-    col = 0
-    while rank < n_rows and col < n_cols:
-        pivot = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(n_rows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def kernel_rank(m: SymMatrixModel, slope_value: Fraction) -> int:
-    """Nullity of the boundary endomorphism; in [1, n-1] for a genuine witness."""
-    return m.n - matrix_rank(boundary_endomorphism(m, slope_value))
+    """Nullity of the boundary endomorphism; in [1, n-1] for a genuine witness.
+
+    ``q I - p F`` is symmetric, hence diagonalizable, so its nullity is the
+    multiplicity of 0 as a root of its characteristic polynomial: the number
+    of vanishing low-order Berkowitz coefficients.
+    """
+    _, c = _berkowitz(boundary_endomorphism(m, slope_value))
+    return next(k for k, ck in enumerate(c) if ck)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,13 @@ class TestSlopeCommand:
         main(["slope", "--input", SURFACE_IRRATIONAL])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_threshold_beyond_float_range(self, capsys):
+        # sqrt(3 * 2^2300) is about 2.65e346, irrational and past the float range.
+        code, payload, err = run(capsys, ["slope", "--input", json.dumps({"n": 2, "v": [-1, 0, str(3 * 2**2300)]})])
+        assert code == 0
+        assert payload["rationality"]["verdict"] == "irrational"
+        assert err.startswith("slope: ~2.6488394808") and "e+346 in (" in err
 
     def test_output_path(self, capsys, tmp_path):
         target = tmp_path / "cert.json"
@@ -263,6 +271,37 @@ class TestErrorHandling:
         assert payload is None
         assert "NonIntegralProfile" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["nef", "bound", "scan"])
+    def test_output_past_string_limit(self, capsys, command):
+        # v[0] = -+2 * 10^4400 has more digits than str() writes.  scan gets
+        # F = diag(E, E), which it skips as proportional: on diag(E, -E) it
+        # spends seconds isolating the root before it emits.
+        big = "1" + "0" * 2200
+        second = big if command == "scan" else "-" + big
+        model = {"n": 2, "Ln": "2", "F": [[big, "0"], ["0", second]]}
+        text = json.dumps([model] if command == "scan" else model)
+        code, payload, err = run(capsys, [command, "--input", text])
+        assert code == 2
+        assert payload is None
+        assert err.startswith("input error: cannot write an integer of ")
+        assert f"it passes the {sys.get_int_max_str_digits()}-digit limit" in err
+
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            (["slope", "--level", "hodge", "--input", json.dumps({"n": 2, "v": ["9" * 3000, 0, "9" * 3000]})],
+             "L^2 M^2 = <19932-bit integer>"),
+            (["nef", "--level", "spectral", "--input", json.dumps({"n": 3, "v": [1, "9" * 4300, 1, 1]})],
+             "u^3 - 3*u^2 + <14286-bit integer>*u - 1"),
+        ],
+        ids=["hodge-products", "spectral-square-free-part"],
+    )
+    def test_validation_message_past_string_limit(self, capsys, argv, size):
+        code, payload, err = run(capsys, argv)
+        assert code == 3
+        assert payload is None
+        assert "validation failed" in err and size in err
 
     def test_syntactic_violation(self, capsys):
         code, _, err = run(capsys, ["slope", "--input", '{"n": 2, "v": [0, 1, -2]}'])

@@ -3,7 +3,10 @@
 Every input is answered or rejected with a typed exit code: 0, 10
 (scan witness), 2 (input error) or 3 (precondition violation), and no
 exception escapes ``main``.  Examples are derandomized so the suite stays
-deterministic, and sizes stay small (n <= 5, entries <= 10^6).
+deterministic.  Sizes stay small (n <= 5, entries <= 10^6), except in the
+magnitude test: n <= 3 with profile entries up to the 4300-digit int-string
+limit and matrix entries up to 2200 digits, whose products pass it, under
+the subcommands that isolate no root (``nef`` and ``bound``).
 """
 
 import contextlib
@@ -119,6 +122,32 @@ def nested_json(draw):
     return f'[{{"label": {text}, "n": 2, "v": [0, 1, 2]}}]'
 
 
+@st.composite
+def huge_integers(draw, max_digits):
+    """An integer of 1..max_digits digits, either sign, half the time in the
+    top hundred lengths: a drawn digit pattern repeated to the drawn length."""
+    digits = draw(st.integers(1, max_digits) | st.integers(max_digits - 99, max_digits))
+    pattern = str(draw(st.integers(1, 10**6)))
+    value = int((pattern * (digits // len(pattern) + 1))[:digits])
+    return value if draw(st.booleans()) else -value
+
+
+@st.composite
+def huge_instances(draw):
+    """A profile with entries of up to 4300 digits and a positive L^n, or a
+    symmetric integral matrix model with entries of up to 2200 digits."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        v = [draw(huge_integers(4300)) for _ in range(n + 1)]
+        return {"n": n, "v": [str(x) for x in v[:-1]] + [str(abs(v[-1]))]}
+    cells = {}
+    for i in range(n):
+        for j in range(i, n):
+            cells[i, j] = cells[j, i] = str(draw(huge_integers(2200)))
+    rows = [[cells[i, j] for j in range(n)] for i in range(n)]
+    return {"n": n, "Ln": str(factorial(n) * draw(st.integers(1, 1000))), "F": rows}
+
+
 class TestCliFuzz:
     @FUZZ
     @given(data=st.binary(max_size=64), command=commands, level=levels)
@@ -136,3 +165,8 @@ class TestCliFuzz:
     def test_profiles_and_matrices(self, invocation, level):
         command, payload = invocation
         run(command, level, json.dumps(payload))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(instance=huge_instances(), command=st.sampled_from(("nef", "bound")), level=levels)
+    def test_magnitudes(self, instance, command, level):
+        run(command, level, json.dumps(instance))

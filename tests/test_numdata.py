@@ -54,6 +54,12 @@ class TestProfileFromMatrix:
         with pytest.raises(NonIntegralProfile):
             profile_from_matrix(m)
 
+    def test_non_integral_message_names_denominator_bits(self):
+        m = SymMatrixModel(2, frac_rows([[Fraction(1, 3), 0], [0, 1]]), 1)
+        with pytest.raises(NonIntegralProfile) as exc:
+            profile_from_matrix(m)
+        assert str(exc.value) == "entry k=0 is not an integer: its denominator has 2 bits (L^n = 1)"
+
     def test_asymmetric_rejected(self):
         m = SymMatrixModel(2, frac_rows([[0, 1], [0, 0]]), 2)
         with pytest.raises(InputError):

@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from nefslope import simplicity
-from nefslope.errors import InconsistentContext
-from nefslope.generators import GenSpec, gen_product, gen_random
-from nefslope.numdata import IntersectionProfile, profile_from_matrix
+from nefslope.errors import AsymmetricInput, InconsistentContext
+from nefslope.generators import GenSpec, SplitMix64, gen_product, gen_random
+from nefslope.numdata import IntersectionProfile, SymMatrixModel, profile_from_matrix
 from nefslope.simplicity import (
     CONSISTENT,
     INFINITE,
@@ -18,7 +19,6 @@ from nefslope.simplicity import (
     NormClassSpec,
     boundary_endomorphism,
     kernel_rank,
-    matrix_rank,
     norm_class,
     norm_slope_check,
     scan,
@@ -157,9 +157,39 @@ class TestKernelRank:
         m = gen_product(n, [[t if i == j else 0 for j in range(n)] for i in range(n)])
         assert kernel_rank(m, Fraction(1, t)) == n
 
-    def test_matrix_rank(self):
-        assert matrix_rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-        assert matrix_rank([[Fraction(0)]]) == 0
+    @pytest.mark.parametrize("rows", [((1, 2), (2,)), ((1, 2), (3, 1))], ids=["ragged", "asymmetric"])
+    def test_malformed_model_rejected(self, rows):
+        m = SymMatrixModel(2, rows, 2)
+        with pytest.raises(AsymmetricInput, match="^F"):
+            kernel_rank(m, Fraction(1, 3))
+        with pytest.raises(AsymmetricInput, match="^F"):
+            boundary_endomorphism(m, Fraction(1, 3))
+
+    def test_nullity_against_sympy(self):
+        """Symmetric models of rank at most r <= n, each a sum of r rational
+        outer products, at 1 and at 1/lambda for each nonzero rational
+        eigenvalue lambda, against sympy's rank of q I - p F."""
+        rng = SplitMix64(909)
+        u = sympy.Symbol("u")
+        cases = deficient = 0
+        for _ in range(320):
+            n = rng.in_range(1, 6)
+            f = sympy.zeros(n, n)
+            for _ in range(rng.in_range(1, n)):
+                # Sparse vectors split F into blocks, so rational eigenvalues are common.
+                x = sympy.Matrix([rng.in_range(-2, 2) if rng.below(3) == 0 else 0 for _ in range(n)])
+                f += sympy.Rational(rng.in_range(-3, 3), rng.in_range(1, 3)) * x * x.T
+            rows = tuple(tuple(Fraction(int(x.p), int(x.q)) for x in f.row(i)) for i in range(n))
+            m = SymMatrixModel(n, rows, 1)
+            roots = sympy.Poly(f.charpoly(u).as_expr(), u).ground_roots()
+            values = [Fraction(1)] + [Fraction(int(lam.q), int(lam.p)) for lam in roots if lam != 0]
+            for value in values:
+                p, q = value.numerator, value.denominator
+                expected = n - (q * sympy.eye(n) - p * f).rank()
+                assert kernel_rank(m, value) == expected, (m, value)
+                cases += 1
+                deficient += expected > 0
+        assert cases >= 500 and deficient >= 200
 
 
 class TestWitnessRoundTrip:
@@ -178,4 +208,3 @@ class TestWitnessRoundTrip:
             # singular boundary endomorphism <=> vanishing top self-intersection
             boundary = binary_profile(profile, value.denominator, -value.numerator)
             assert boundary.v[0] == 0
-            assert matrix_rank(fb) < m.n
