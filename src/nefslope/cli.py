@@ -158,6 +158,8 @@ def _cmd_scan(args) -> int:
             raise InputError(f"instance {idx} is not a JSON object")
         label = str(entry.get("label", f"instance-{idx}"))
         items.append((label, _load_profile(entry, args.level)))
+    for _, profile in items:  # echoed in the result: what cannot be written fails before root work
+        profile.to_json()
     result = simplicity.scan(items, jobs=args.jobs)
     witnesses = sum(1 for e in result.entries if e.verdict == simplicity.WITNESS)
     _emit(args, result.to_json(), f"scan: {result.overall} ({witnesses} witness(es), {len(items)} instance(s))")

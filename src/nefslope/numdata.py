@@ -125,25 +125,28 @@ def _is_plain_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _describe(x) -> str:
+    """``repr(x)`` for messages, by size past the int-string limit as in ``describe_int``; never raises."""
+    if isinstance(x, Fraction):
+        return f"Fraction({describe_int(x.numerator)}, {describe_int(x.denominator)})"
+    try:
+        return describe_int(x) if _is_plain_int(x) else repr(x)
+    except ValueError:  # a container of integers past the limit
+        return f"<{type(x).__name__}>"
+
+
 def _syntactic_violations(p: IntersectionProfile) -> list[Violation]:
-    out = []
     if not _is_plain_int(p.n) or p.n < 1:
-        out.append(Violation("dimension", f"n must be a positive integer, got {p.n!r}", (p.n,)))
-        return out
+        return [Violation("dimension", f"n must be a positive integer, got {_describe(p.n)}", (p.n,))]
     if len(p.v) != p.n + 1:
-        out.append(
-            Violation("profile-length", f"expected {p.n + 1} entries, got {len(p.v)}", (len(p.v),))
-        )
-        return out
+        message = f"expected {describe_int(p.n + 1)} entries, got {len(p.v)}"
+        return [Violation("profile-length", message, (len(p.v),))]
     bad = [x for x in p.v if not _is_plain_int(x)]
     if bad:
-        out.append(Violation("integrality", f"non-integer entries {bad!r}", tuple(bad)))
-        return out
+        return [Violation("integrality", f"non-integer entries [{', '.join(map(_describe, bad))}]", tuple(bad))]
     if p.v[p.n] <= 0:
-        out.append(
-            Violation("ample-top", f"L^n must be positive, got {describe_int(p.v[p.n])}", (p.v[p.n],))
-        )
-    return out
+        return [Violation("ample-top", f"L^n must be positive, got {describe_int(p.v[p.n])}", (p.v[p.n],))]
+    return []
 
 
 def validate(p: IntersectionProfile, level: ValidationLevel) -> ValidationReport:

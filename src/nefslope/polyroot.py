@@ -3,8 +3,9 @@
 Polynomials carry arbitrary-precision integer coefficients in ascending
 degree order, and all exact algebra stays in the integers: remainders are
 pseudo-remainders scaled by positive factors, gcds and Sturm chains are
-primitive pseudo-remainder sequences, and values at ``a/b`` come from
-homogeneous integer Horner.  On top of this kernel the module provides:
+primitive pseudo-remainder sequences, and every sign is that of homogeneous
+integer Horner at a point ``(a : b)``, ``b >= 0``, with +-infinity as
+``(+-1 : 0)``.  On top of this kernel the module provides:
 
 * ``chi_polynomial`` -- the degree-n integer polynomial attached to an
   intersection profile, whose maximal real root is the reciprocal of the
@@ -36,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, gcd, isinf
-from typing import TYPE_CHECKING, Iterable, Iterator
+from math import comb, gcd, isinf, lcm
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .exactio import describe_int, format_int, format_rational
 
@@ -97,7 +98,7 @@ class IntPolynomial:
 
     def __call__(self, x: Fraction | int) -> Fraction:
         """Exact value at an int or Fraction argument."""
-        return Fraction(_scaled_value(self, x), x.denominator ** max(self.degree, 0))
+        return Fraction(_scaled_value(self, x.numerator, x.denominator), x.denominator ** max(self.degree, 0))
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial.of(k * c for k, c in enumerate(self.coeffs) if k > 0)
@@ -133,12 +134,12 @@ class IntPolynomial:
 # ---------------------------------------------------------------------------
 # Integer coefficient arithmetic (internal).
 
-def _scaled_value(p: IntPolynomial, x: Fraction | int) -> int:
-    """``b^d p(a/b)`` for ``x = a/b`` in lowest terms, by homogeneous Horner.
+def _scaled_value(p: IntPolynomial, a: int, b: int) -> int:
+    """``b^d p(a/b)`` at the integer point ``(a : b)``, ``b >= 0``, by homogeneous Horner.
 
-    The denominator ``b`` is positive, so this integer has the sign of ``p(x)``.
+    For ``b > 0`` it has the sign of ``p(a/b)``, in lowest terms or not; at
+    ``(+-1 : 0)`` it is ``lead(p) (+-1)^d``, the sign of ``p`` at +-infinity.
     """
-    a, b = x.numerator, x.denominator
     acc, scale = 0, 1
     for c in reversed(p.coeffs):
         acc = acc * a + c * scale
@@ -236,27 +237,24 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     return sturm_chain(p).polys[0]
 
 
-def _sign_at(p: IntPolynomial, x: Fraction | int) -> int:
-    """Sign of ``p`` at a finite rational ``x``."""
-    return _sgn(_scaled_value(p, x))
-
-
-def _variations(chain: SturmChain, x: Endpoint) -> int:
+def _point(x: Endpoint | int) -> tuple[int, int]:
+    """The integer point ``(a : b)`` of a rational, or ``(+-1 : 0)`` of +-infinity."""
     if isinstance(x, float) and isinf(x):
-        # Each term has the sign of its lead, flipped at -inf for odd degree.
-        odd_sign = -1 if x < 0 else 1
-        signs = [_sgn(q.coeffs[-1]) * (odd_sign if q.degree % 2 else 1) for q in chain.polys]
-    else:
-        signs = [_sign_at(q, x) for q in chain.polys]
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return (1 if x > 0 else -1), 0
+    return x.numerator, x.denominator
+
+
+def _variations(chain: SturmChain, a: int, b: int) -> int:
+    """Sign variations of the chain at the point ``(a : b)``."""
+    signs = [s for s in (_sgn(_scaled_value(q, a, b)) for q in chain.polys) if s]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
 def sturm_count(chain: SturmChain, lo: Endpoint, hi: Endpoint) -> int:
     """Number of distinct real roots in the half-open interval ``(lo, hi]``."""
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi}]")
-    count = _variations(chain, lo) - _variations(chain, hi)
+    count = _variations(chain, *_point(lo)) - _variations(chain, *_point(hi))
     if count < 0:
         raise AssertionError("sign variations must be monotone along the chain")
     return count
@@ -394,28 +392,28 @@ class AlgebraicNumber:
         }
 
 
-def _bisections(a: AlgebraicNumber) -> Iterator[AlgebraicNumber]:
-    """Successive sign-test bisection steps of an inexact number: each is the
-    half of ``(lo, hi]`` that holds it, or the number made exact when the
-    midpoint is a root, which ends the sequence.
-
-    The sign at ``hi`` is evaluated once: ``hi`` only ever moves to a
-    midpoint of that same sign.
-    """
-    p = a.minpoly_factor
-    lo, hi = a.interval
-    s_hi = _sign_at(p, hi)
-    while True:
-        mid = (lo + hi) / 2
-        s = _sign_at(p, mid)
+def _bisect(
+    p: IntPolynomial, lo: Fraction, hi: Fraction, done: Callable[[int, int, int], bool]
+) -> AlgebraicNumber:
+    """Bisect ``(lo, hi]``, isolating a root of ``p``, until ``done(a, c, b)``
+    holds for its ends ``(a/b, c/b]`` or a midpoint ``(a + c)/2b`` is the root.
+    Each step doubles ``b`` and the kept end, so no fraction is reduced; the
+    sign at ``hi`` is taken once, as ``hi`` only moves to midpoints of that sign."""
+    b = lcm(lo.denominator, hi.denominator)
+    a, c = lo.numerator * (b // lo.denominator), hi.numerator * (b // hi.denominator)
+    s_hi = None
+    while not done(a, c, b):
+        if s_hi is None:
+            s_hi = _sgn(_scaled_value(p, c, b))
+        mid, b = a + c, 2 * b
+        s = _sgn(_scaled_value(p, mid, b))
         if s == 0:
-            yield AlgebraicNumber.from_rational(mid)
-            return
+            return AlgebraicNumber.from_rational(Fraction(mid, b))
         if s == s_hi:
-            hi = mid
+            a, c = 2 * a, mid
         else:
-            lo = mid
-        yield AlgebraicNumber(p, (lo, hi))
+            a, c = mid, 2 * c
+    return AlgebraicNumber(p, (Fraction(a, b), Fraction(c, b)))
 
 
 def refine(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
@@ -423,10 +421,10 @@ def refine(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    steps = _bisections(a)
-    while a.exact is None and a.interval[1] - a.interval[0] > width:
-        a = next(steps)
-    return a
+    if a.exact is not None:
+        return a
+    num, den = width.numerator, width.denominator
+    return _bisect(a.minpoly_factor, *a.interval, lambda lo, hi, b: (hi - lo) * den <= num * b)
 
 
 def clear_lower_end(a: AlgebraicNumber) -> AlgebraicNumber:
@@ -437,12 +435,10 @@ def clear_lower_end(a: AlgebraicNumber) -> AlgebraicNumber:
     keeps both properties, since ``lo`` only grows and a bisection midpoint
     that is a root makes the number exact.
     """
-    steps = _bisections(a)
-    while a.exact is None and (
-        a.interval[0] <= 0 <= a.interval[1] or _sign_at(a.minpoly_factor, a.interval[0]) == 0
-    ):
-        a = next(steps)
-    return a
+    if a.exact is not None:
+        return a
+    p = a.minpoly_factor
+    return _bisect(p, *a.interval, lambda lo, hi, b: (lo > 0 or hi < 0) and _scaled_value(p, lo, b) != 0)
 
 
 def compare_with_rational(a: AlgebraicNumber, value: Fraction | int) -> int:
@@ -457,9 +453,8 @@ def compare_with_rational(a: AlgebraicNumber, value: Fraction | int) -> int:
         return -1
     # value falls inside (lo, hi]; the root is irrational, hence distinct from
     # it, and the single sign change locates the root relative to value.
-    if _sign_at(a.minpoly_factor, value) * _sign_at(a.minpoly_factor, hi) < 0:
-        return 1
-    return -1
+    p = a.minpoly_factor
+    return 1 if _sgn(_scaled_value(p, *_point(value))) * _sgn(_scaled_value(p, *_point(hi))) < 0 else -1
 
 
 def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:
@@ -480,22 +475,23 @@ def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:
 # ---------------------------------------------------------------------------
 # Maximal-root isolation.
 
-def _isolate_topmost(chain: SturmChain, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction] | None:
-    """Shrink ``(lo, hi]`` (no root above ``hi``) around the largest root, or
-    None if it holds no root.  The variation counts at both ends are carried,
-    so each bisection step evaluates the chain once, at the midpoint.
-    """
-    v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
+def _isolate_topmost(chain: SturmChain, bound: Fraction) -> tuple[Fraction, Fraction] | None:
+    """Shrink ``(-bound, bound]`` (no root above it) around the largest root,
+    or None if it holds no root.  As in :func:`_bisect`, the ends share one
+    denominator, and their variation counts are carried: one chain evaluation
+    per step."""
+    a, c, b = -bound.numerator, bound.numerator, bound.denominator
+    v_lo, v_hi = _variations(chain, a, b), _variations(chain, c, b)
     if v_lo == v_hi:
         return None
     while v_lo - v_hi > 1:
-        mid = (lo + hi) / 2
-        v_mid = _variations(chain, mid)
+        mid, b = a + c, 2 * b
+        v_mid = _variations(chain, mid, b)
         if v_mid > v_hi:
-            lo, v_lo = mid, v_mid
+            a, c, v_lo = mid, 2 * c, v_mid
         else:
-            hi, v_hi = mid, v_mid
-    return lo, hi
+            a, c, v_hi = 2 * a, mid, v_mid
+    return Fraction(a, b), Fraction(c, b)
 
 
 def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
@@ -512,8 +508,7 @@ def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
         raise ValueError("isolate_max_root requires a nonzero polynomial of degree >= 1")
     chain = sturm_chain(p)
     h = chain.polys[0]
-    bound = cauchy_bound(h)
-    top = _isolate_topmost(chain, -bound, bound)
+    top = _isolate_topmost(chain, cauchy_bound(h))
     if top is None:
         return None
     denom = h.coeffs[-1]
@@ -524,7 +519,7 @@ def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
     nearest = ((lo + hi) / 2).limit_denominator(denom)
     # The interval test matters when the root is irrational: the nearest
     # fraction may then be another root of h, below the maximum.
-    if lo < nearest <= hi and _sign_at(h, nearest) == 0:
+    if lo < nearest <= hi and _scaled_value(h, *_point(nearest)) == 0:
         return AlgebraicNumber.from_rational(nearest)
     return root
 

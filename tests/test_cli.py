@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -272,16 +273,22 @@ class TestErrorHandling:
         assert "NonIntegralProfile" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["nef", "bound", "scan"])
-    def test_output_past_string_limit(self, capsys, command):
+    @pytest.mark.parametrize(
+        "command,sign",
+        [("nef", "-"), ("bound", "-"), ("scan", ""), ("scan", "-")],
+        ids=["nef", "bound", "scan", "scan-opposite-signs"],
+    )
+    def test_output_past_string_limit(self, capsys, command, sign):
         # v[0] = -+2 * 10^4400 has more digits than str() writes.  scan gets
-        # F = diag(E, E), which it skips as proportional: on diag(E, -E) it
-        # spends seconds isolating the root before it emits.
+        # F = diag(E, E), which it skips as proportional, and diag(E, -E),
+        # whose root it would take seconds to isolate: both are rejected when
+        # they are loaded.
         big = "1" + "0" * 2200
-        second = big if command == "scan" else "-" + big
-        model = {"n": 2, "Ln": "2", "F": [[big, "0"], ["0", second]]}
+        model = {"n": 2, "Ln": "2", "F": [[big, "0"], ["0", sign + big]]}
         text = json.dumps([model] if command == "scan" else model)
+        start = time.perf_counter()
         code, payload, err = run(capsys, [command, "--input", text])
+        assert time.perf_counter() - start < 2
         assert code == 2
         assert payload is None
         assert err.startswith("input error: cannot write an integer of ")

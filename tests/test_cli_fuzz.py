@@ -6,12 +6,14 @@ exception escapes ``main``.  Examples are derandomized so the suite stays
 deterministic.  Sizes stay small (n <= 5, entries <= 10^6), except in the
 magnitude test: n <= 3 with profile entries up to the 4300-digit int-string
 limit and matrix entries up to 2200 digits, whose products pass it, under
-the subcommands that isolate no root (``nef`` and ``bound``).
+the subcommands that isolate no root (``nef`` and ``bound``).  Each example
+runs under a wall-time bound, so a hang fails the suite instead of stalling it.
 """
 
 import contextlib
 import io
 import json
+import signal
 from math import factorial
 
 import pytest
@@ -25,6 +27,11 @@ COMMANDS = ("slope", "nef", "certify", "bound", "scan")
 LEVELS = ("syntactic", "spectral", "hodge")
 
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+#: Wall-time bound per example, in seconds: 20x the slowest example measured
+#: (93 ms, on 2 cores under CPython 3.11).  Hypothesis checks its deadline
+#: only once an example returns, so an interval timer enforces this one.
+EXAMPLE_SECONDS = 2
 
 commands = st.sampled_from(COMMANDS)
 levels = st.sampled_from(LEVELS)
@@ -42,10 +49,20 @@ def input_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.json"
 
 
+def _out_of_time(signum, frame):
+    raise TimeoutError(f"example ran past {EXAMPLE_SECONDS} s")
+
+
 def run(command, level, text):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--input", text, "--level", level])
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, EXAMPLE_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--input", text, "--level", level])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in EXIT_CODES, (code, err.getvalue())
 
 

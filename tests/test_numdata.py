@@ -156,6 +156,27 @@ class TestValidate:
         assert not report.ok
         assert report.violations[0].check == "ample-top"
 
+    @pytest.mark.parametrize(
+        "profile,check,size",
+        [
+            (IntersectionProfile(2, (Fraction(10**5000, 3), 1, 1)), "integrality", "Fraction(<16610-bit integer>, 3)"),
+            (IntersectionProfile(-(10**5000), (1,)), "dimension", "got <16610-bit integer>"),
+            (IntersectionProfile(10**5000, (1,)), "profile-length", "expected <16610-bit integer> entries"),
+        ],
+        ids=["huge-fraction-entry", "huge-negative-n", "huge-n"],
+    )
+    def test_syntactic_message_past_string_limit(self, profile, check, size):
+        report = validate(profile, ValidationLevel.SYNTACTIC)
+        assert not report.ok
+        assert report.violations[0].check == check
+        assert size in report.violations[0].message
+
+    def test_small_values_render_as_repr(self):
+        report = validate(IntersectionProfile(2, (Fraction(1, 3), 1.5, 1)), ValidationLevel.SYNTACTIC)
+        assert report.violations[0].message == "non-integer entries [Fraction(1, 3), 1.5]"
+        report = validate(IntersectionProfile("2", (1,)), ValidationLevel.SYNTACTIC)
+        assert report.violations[0].message == "n must be a positive integer, got '2'"
+
     def test_wrong_length(self):
         report = validate(IntersectionProfile(2, (1, 2)), ValidationLevel.SYNTACTIC)
         assert [v.check for v in report.violations] == ["profile-length"]

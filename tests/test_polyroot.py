@@ -178,18 +178,35 @@ class TestOnePrs:
         assert len(calls) == limit
 
     def test_sign_kernel_sees_finite_points_only(self, monkeypatch):
-        # Infinite ends are resolved in _variations from leads and degrees.
+        # Every point reaches the kernel as integers (a : b) with b >= 0, and
+        # b = 0 only at the infinite ends (+-1 : 0).
         seen = []
-        sign_at = polyroot._sign_at
-        monkeypatch.setattr(polyroot, "_sign_at", lambda p, x: seen.append(x) or sign_at(p, x))
+        scaled_value = polyroot._scaled_value
+        monkeypatch.setattr(polyroot, "_scaled_value", lambda p, a, b: seen.append((a, b)) or scaled_value(p, a, b))
         profiles = [IntersectionProfile(2, (2, 3, 2)), IntersectionProfile(2, (0, 1, 2))]
         for kind, n in (("product-matrix", 4), ("rational-matrix", 3)):
             profiles += [profile_from_matrix(m) for m in gen_random(GenSpec(kind, seed=5, count=3, n=n))]
         for profile in profiles:
             assert validate(profile, ValidationLevel.SPECTRAL).ok
             slope(profile)
-        assert seen
-        assert all(isinstance(x, (int, Fraction)) for x in seen)
+        assert {(1, 0), (-1, 0)} < set(seen)
+        assert all(type(a) is int and type(b) is int and b >= 0 for a, b in seen)
+        assert all(a in (1, -1) for a, b in seen if b == 0)
+
+
+def _recording(fn, limit, points=None):
+    """``fn(..., a, b)`` listing each point ``(a : b)`` in ``points``, as a
+    rational or +-inf, and failing on its call number ``limit + 1``, so that
+    a loop that evaluates too often fails instead of running on."""
+    points = [] if points is None else points
+
+    def recorded(*args):
+        a, b = args[-2:]
+        points.append(Fraction(a, b) if b else (POS_INF if a > 0 else NEG_INF))
+        assert len(points) <= limit, f"more than {limit} evaluations"
+        return fn(*args)
+
+    return recorded
 
 
 def _mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -343,12 +360,9 @@ class TestIsolateMaxRoot:
     def test_chain_evaluated_once_per_bisection(self, monkeypatch, p, limit):
         # Both ends' variation counts are carried along, and the starting
         # interval is counted once.
-        calls = []
-        variations = polyroot._variations
-        monkeypatch.setattr(polyroot, "_variations", lambda chain, x: calls.append(x) or variations(chain, x))
+        monkeypatch.setattr(polyroot, "_variations", _recording(polyroot._variations, limit))
         root = isolate_max_root(p)
         assert root.exact == 6 or in_interval_surd(*root.interval, Fraction(0), Fraction(1), 2)
-        assert len(calls) <= limit
 
     def test_max_root_at_zero(self):
         # u^2 (u + 3)
@@ -462,14 +476,11 @@ class TestRefine:
 
     def test_sign_at_upper_end_evaluated_once(self, monkeypatch):
         # 64 halvings of (1, 2] take one evaluation each, plus one at hi = 2
-        calls = []
-        sign_at = polyroot._sign_at
-        monkeypatch.setattr(polyroot, "_sign_at", lambda p, x: calls.append(x) or sign_at(p, x))
+        monkeypatch.setattr(polyroot, "_scaled_value", _recording(polyroot._scaled_value, 65))
         root = AlgebraicNumber(P([-2, 0, 1]), (Fraction(1), Fraction(2)))
         tight = refine(root, Fraction(1, 2**64))
         assert tight.interval[1] - tight.interval[0] <= Fraction(1, 2**64)
         assert in_interval_surd(*tight.interval, Fraction(0), Fraction(1), 2)
-        assert len(calls) <= 65
 
     def test_reciprocal_with_root_at_lower_end(self):
         # (u - 1) (u^2 - 3) on (1, 2]: the excluded end 1 is a root, so the
@@ -489,6 +500,153 @@ class TestRefine:
         prod_lo = a.interval[0] * b.interval[0]
         prod_hi = a.interval[1] * b.interval[1]
         assert prod_lo < 1 < prod_hi
+
+
+class _FractionBisection:
+    """Bisection on ``Fraction`` midpoints, signed in lowest terms, as the
+    ``Fraction`` kernel did it; ``points`` lists every point evaluated, in
+    order, with the chain counted once per point."""
+
+    def __init__(self):
+        self.points = []
+
+    def sign(self, p: IntPolynomial, x: Fraction) -> int:
+        self.points.append(x)
+        num, den = x.numerator, x.denominator
+        value = sum(c * num**k * den ** (p.degree - k) for k, c in enumerate(p.coeffs))
+        return (value > 0) - (value < 0)
+
+    def variations(self, chain, x) -> int:
+        self.points.append(x)
+        if x in (NEG_INF, POS_INF):
+            odd_sign = -1 if x < 0 else 1
+            signs = [(1 if q.coeffs[-1] > 0 else -1) * (odd_sign if q.degree % 2 else 1) for q in chain.polys]
+        else:
+            signs = [self.sign(q, x) for q in chain.polys]
+            del self.points[-len(chain.polys):]
+        signs = [s for s in signs if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    def bisections(self, a: AlgebraicNumber):
+        p, (lo, hi) = a.minpoly_factor, a.interval
+        s_hi = self.sign(p, hi)
+        while True:
+            mid = (lo + hi) / 2
+            s = self.sign(p, mid)
+            if s == 0:
+                yield AlgebraicNumber.from_rational(mid)
+                return
+            lo, hi = (lo, mid) if s == s_hi else (mid, hi)
+            yield AlgebraicNumber(p, (lo, hi))
+
+    def refine(self, a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
+        steps = self.bisections(a)
+        while a.exact is None and a.interval[1] - a.interval[0] > width:
+            a = next(steps)
+        return a
+
+    def clear_lower_end(self, a: AlgebraicNumber) -> AlgebraicNumber:
+        steps = self.bisections(a)
+        while a.exact is None and (
+            a.interval[0] <= 0 <= a.interval[1] or self.sign(a.minpoly_factor, a.interval[0]) == 0
+        ):
+            a = next(steps)
+        return a
+
+    def isolate_topmost(self, chain, lo: Fraction, hi: Fraction):
+        v_lo, v_hi = self.variations(chain, lo), self.variations(chain, hi)
+        if v_lo == v_hi:
+            return None
+        while v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = self.variations(chain, mid)
+            if v_mid > v_hi:
+                lo, v_lo = mid, v_mid
+            else:
+                hi, v_hi = mid, v_mid
+        return lo, hi
+
+    def reciprocal(self, a: AlgebraicNumber) -> AlgebraicNumber:
+        a = self.clear_lower_end(a)
+        if a.exact is not None:
+            return AlgebraicNumber.from_rational(1 / a.exact)
+        lo, hi = a.interval
+        rev = polyroot._primitive(a.minpoly_factor.reversed_coeffs().coeffs, positive_lead=True)
+        return AlgebraicNumber(rev, (1 / hi, 1 / lo))
+
+
+class TestFractionBisectionOracle:
+    """The integer-point kernel against bisection on ``Fraction`` midpoints:
+    both must evaluate the same rationals in the same order, so every
+    interval is equal, not merely nested."""
+
+    @staticmethod
+    def check(monkeypatch, kernel, call, reference):
+        """``call()``, which must equal ``reference`` run on a fresh
+        :class:`_FractionBisection` and pass ``polyroot.<kernel>`` the same
+        points, failing as soon as it passes more."""
+        ref = _FractionBisection()
+        expected = reference(ref)
+        points = []
+        with monkeypatch.context() as m:
+            m.setattr(polyroot, kernel, _recording(getattr(polyroot, kernel), len(ref.points), points))
+            got = call()
+        assert points == ref.points
+        assert got == expected
+        return got
+
+    def bisection(self, monkeypatch, name, *args):
+        return self.check(
+            monkeypatch, "_scaled_value", lambda: getattr(polyroot, name)(*args), lambda ref: getattr(ref, name)(*args)
+        )
+
+    def test_seeded_polynomials(self, monkeypatch):
+        seen = set()
+        for p in _seeded_polynomials(6007, 1200):
+            if p.degree < 1:
+                continue
+            chain = sturm_chain(p)
+            h = chain.polys[0]
+            self.check(
+                monkeypatch,
+                "_variations",
+                lambda: sturm_count(chain, NEG_INF, POS_INF),
+                lambda ref: ref.variations(chain, NEG_INF) - ref.variations(chain, POS_INF),
+            )
+            bound = cauchy_bound(h)
+            top = self.check(
+                monkeypatch,
+                "_variations",
+                lambda: polyroot._isolate_topmost(chain, bound),
+                lambda ref: ref.isolate_topmost(chain, -bound, bound),
+            )
+            if top is None or _FractionBisection().sign(h, top[1]) == 0:
+                # A root at hi stays inexact under bisection, and at hi = 0
+                # lo never clears 0; such ends come only from this raw stage.
+                continue
+            raw = AlgebraicNumber(h, top)
+            cleared = self.bisection(monkeypatch, "clear_lower_end", raw)
+            for width in (Fraction(1, 2 * h.coeffs[-1] ** 2), Fraction(1, 3**20)):
+                tight = self.bisection(monkeypatch, "refine", raw, width)
+                seen.add("exact" if tight.exact is not None else "inexact")
+            if cleared.exact != 0:
+                self.bisection(monkeypatch, "reciprocal", raw)
+            seen.add((p.coeffs[-1] < 0, p.coeffs[0] == 0, raw.interval[0] < 0 < raw.interval[1]))
+            seen.add("cleared" if cleared.interval != raw.interval else "kept")
+        assert {"exact", "inexact", "cleared", "kept", (True, True, True)} <= seen
+
+    def test_threshold_intervals(self, monkeypatch):
+        for p in _seeded_polynomials(8009, 400):
+            if p.degree < 1:
+                continue
+            # At most 117 kernel calls on this corpus; the bound fails a loop.
+            with monkeypatch.context() as m:
+                m.setattr(polyroot, "_scaled_value", _recording(polyroot._scaled_value, 2000))
+                root = isolate_max_root(p)
+            if root is None or compare_with_rational(root, 0) <= 0:
+                continue
+            inv = self.bisection(monkeypatch, "reciprocal", root)
+            self.bisection(monkeypatch, "refine", inv, Fraction(1, 2**40))
 
 
 class TestChiPolynomial:
