@@ -73,10 +73,14 @@ def format_int(value: int) -> str:
         ) from None
 
 
+def format_ratio(num: int, den: int) -> str:
+    if den == 1:
+        return format_int(num)
+    return f"{format_int(num)}/{format_int(den)}"
+
+
 def format_rational(value: Fraction | int) -> str:
-    if value.denominator == 1:
-        return format_int(value.numerator)
-    return f"{format_int(value.numerator)}/{format_int(value.denominator)}"
+    return format_ratio(value.numerator, value.denominator)
 
 
 def describe_int(value: int) -> str:

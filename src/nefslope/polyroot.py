@@ -17,11 +17,12 @@ integer Horner at a point ``(a : b)``, ``b >= 0``, with +-infinity as
   ``(lo, hi]``, with ``lo``/``hi`` rationals or +-infinity;
 * ``isolate_max_root`` / ``refine`` -- certified isolation of the largest
   real root as an :class:`AlgebraicNumber`;
-* ``positive_root_candidates`` -- the positive quotients r/s (r | c_0,
-  s | c_d) of the certificate trace, sorted as integer keys over
-  ``|c_d|``, with divisors by shrinking-cofactor trial division;
-  ``rational_root_candidates`` appends the negatives, ``rational_roots``
-  keeps the roots among them;
+* ``candidate_rows`` -- the certificate trace in integers: a row
+  ``(r, s, num, den)`` per positive quotient r/s (r | c_0, s | c_d), with
+  ``p(r/s) = num/den``, from divisors by Pollard-Brent factoring with
+  proven primality; ``positive_root_candidates`` is the ``Fraction`` view
+  of the quotients, ``rational_root_candidates`` appends the negatives,
+  ``rational_roots`` keeps the roots among them;
 * ``cauchy_bound`` -- the classical radius ``1 + max |c_k / c_d|``
   enclosing every root.
 
@@ -272,28 +273,83 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return 1 + Fraction(top, lead)
 
 
-def _divisors(m: int) -> list[int]:
-    """Positive divisors of a nonzero ``m``, ascending.
+#: Miller-Rabin bases that prove primality below ``_MR_PROVEN`` (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
 
-    ``|m|`` is factored by trial division with a shrinking cofactor: 2 and
-    then the odd ``d`` are tried, each prime found is divided out at once,
-    and the search stops when ``d^2`` exceeds what is left, which is then 1
-    or a prime.  The divisors are the products of the prime powers found.
-    """
-    m = abs(m)
-    divs = [1]
-    d = 2
+
+def _witnessed_composite(n: int, a: int) -> bool:
+    """Whether the base ``a`` proves the odd ``n > a`` composite (Miller-Rabin)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1:
+        return False
+    for _ in range(s):
+        if x == n - 1:
+            return False
+        x = x * x % n
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of a composite ``n`` with no factor below 1001, by
+    Brent's rho on ``y -> y^2 + c`` (Brent, BIT 1980): one gcd per 128 steps,
+    a batch that reaches ``n`` replayed step by step, the next ``c`` if that
+    reaches ``n`` too."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                if (g := gcd(q, n)) != 1:
+                    break
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"no factor of {n} found")
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The prime factors of ``m > 0`` with multiplicity, by trial division
+    until ``d^2`` passes the shrinking cofactor, which leaves 1 or a prime.
+    At ``d = 1001`` a cofactor that a Miller-Rabin base witnesses composite
+    is split by :func:`_rho`, and one that no base 2..41 does below
+    ``_MR_PROVEN`` is prime; past that bound, bases up to 1000 may witness,
+    and trial division goes on through a cofactor none does, so no verdict
+    rests on a probabilistic test."""
+    primes, d = [], 2
     while d * d <= m:
-        if m % d == 0:
-            power, new = 1, []
-            while m % d == 0:
-                m //= d
-                power *= d
-                new += [x * power for x in divs]
-            divs += new
+        if d == 1001:
+            proven = m < _MR_PROVEN
+            if any(_witnessed_composite(m, a) for a in (_MR_BASES if proven else range(2, 1000))):
+                g = _rho(m)
+                return primes + _prime_factors(g) + _prime_factors(m // g)
+            if proven:
+                break
+        while m % d == 0:
+            m //= d
+            primes.append(d)
         d += 1 if d == 2 else 2
-    if m > 1:
-        divs += [x * m for x in divs]
+    return primes + [m] * (m > 1)
+
+
+def _divisors(m: int) -> list[int]:
+    """Positive divisors of a nonzero ``m``, ascending: the products of its prime powers."""
+    divs, start, last = [1], 0, 0
+    for p in sorted(_prime_factors(abs(m))):
+        start = start if p == last else 0
+        divs, start, last = divs + [x * p for x in divs[start:]], len(divs), p
     return sorted(divs)
 
 
@@ -304,21 +360,35 @@ def _strip_zero_roots(p: IntPolynomial) -> tuple[IntPolynomial, int]:
     return IntPolynomial(p.coeffs[k:]), k
 
 
-def positive_root_candidates(p: IntPolynomial) -> tuple[Fraction, ...]:
-    """The distinct positive candidates r/s with r | c_0 and s | c_d, descending.
-
-    Zero roots are stripped first.  Over ``D = |c_d|`` every candidate is
-    ``k/D`` with the integer key ``k = r (D/s)``, so the candidates are
-    deduplicated and ordered as integers and one ``Fraction`` is built per
-    distinct value.
-    """
+def _positive_points(p: IntPolynomial) -> list[tuple[int, int]]:
+    """The distinct positive candidates r/s with r | c_0 and s | c_d, descending,
+    as coprime ``(r, s)``: zero roots are stripped first, and over ``D = |c_d|``
+    each is ``k/D`` with the integer key ``k = r (D/s)``, so the candidates are
+    deduplicated and ordered as integers, and one gcd per key reduces it."""
     core, _ = _strip_zero_roots(p)
     if core.degree < 1:
-        return ()
+        return []
     lead = abs(core.coeffs[-1])
     nums, dens = _divisors(core.coeffs[0]), _divisors(lead)
     keys = {r * (lead // s) for r in nums for s in dens}
-    return tuple(Fraction(k, lead) for k in sorted(keys, reverse=True))
+    return [(k // (g := gcd(k, lead)), lead // g) for k in sorted(keys, reverse=True)]
+
+
+def positive_root_candidates(p: IntPolynomial) -> tuple[Fraction, ...]:
+    """The distinct positive candidates r/s with r | c_0 and s | c_d, descending."""
+    return tuple(Fraction(r, s) for r, s in _positive_points(p))
+
+
+def candidate_rows(p: IntPolynomial) -> tuple[tuple[int, int, int, int], ...]:
+    """A row ``(r, s, num, den)`` per positive candidate ``r/s``, descending, with
+    ``p(r/s) = num/den``; each is ``s^d p(r/s)`` at ``(r : s)`` over ``s^d``,
+    reduced by one gcd, so both fractions are in lowest terms."""
+    rows, d = [], max(p.degree, 0)
+    for r, s in _positive_points(p):
+        num, den = _scaled_value(p, r, s), s**d
+        g = gcd(num, den)
+        rows.append((r, s, num // g, den // g))
+    return tuple(rows)
 
 
 def rational_root_candidates(p: IntPolynomial) -> tuple[Fraction, ...]:
@@ -396,15 +466,18 @@ def _bisect(
     p: IntPolynomial, lo: Fraction, hi: Fraction, done: Callable[[int, int, int], bool]
 ) -> AlgebraicNumber:
     """Bisect ``(lo, hi]``, isolating a root of ``p``, until ``done(a, c, b)``
-    holds for its ends ``(a/b, c/b]`` or a midpoint ``(a + c)/2b`` is the root.
-    Each step doubles ``b`` and the kept end, so no fraction is reduced; the
-    sign at ``hi`` is taken once, as ``hi`` only moves to midpoints of that sign."""
+    holds for its ends ``(a/b, c/b]`` or ``hi`` or a midpoint ``(a + c)/2b`` is
+    the root.  Each step doubles ``b`` and the kept end, so no fraction is
+    reduced; the sign at ``hi`` is taken once, as ``hi`` only moves to
+    midpoints of that sign."""
     b = lcm(lo.denominator, hi.denominator)
     a, c = lo.numerator * (b // lo.denominator), hi.numerator * (b // hi.denominator)
     s_hi = None
     while not done(a, c, b):
         if s_hi is None:
             s_hi = _sgn(_scaled_value(p, c, b))
+            if s_hi == 0:
+                return AlgebraicNumber.from_rational(Fraction(c, b))
         mid, b = a + c, 2 * b
         s = _sgn(_scaled_value(p, mid, b))
         if s == 0:
@@ -451,10 +524,14 @@ def compare_with_rational(a: AlgebraicNumber, value: Fraction | int) -> int:
         return 1
     if value > hi:
         return -1
-    # value falls inside (lo, hi]; the root is irrational, hence distinct from
-    # it, and the single sign change locates the root relative to value.
+    # value falls inside (lo, hi], where the number is the only root: a root
+    # at hi or at value is the number, and otherwise the single sign change
+    # locates the number relative to value.
     p = a.minpoly_factor
-    return 1 if _sgn(_scaled_value(p, *_point(value))) * _sgn(_scaled_value(p, *_point(hi))) < 0 else -1
+    s_hi = _sgn(_scaled_value(p, *_point(hi)))
+    if s_hi == 0:
+        return _sgn(hi - value)
+    return -_sgn(_scaled_value(p, *_point(value))) * s_hi
 
 
 def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:

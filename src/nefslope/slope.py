@@ -24,17 +24,17 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DegenerateInput, NegationIsNef, SlopeIsInfinite
-from .exactio import format_int, format_rational
+from .exactio import format_int, format_ratio
 from .numdata import IntersectionProfile, binary_profile, require_valid
 from .polyroot import (
     AlgebraicNumber,
     IntPolynomial,
+    candidate_rows,
     cauchy_bound,
     chi_polynomial,
     clear_lower_end,
     compare_with_rational,
     isolate_max_root,
-    positive_root_candidates,
     reciprocal,
     refine,
 )
@@ -62,25 +62,29 @@ class NefReport:
 class CandidateTrace:
     """Replayable record of the rational-candidate enumeration.
 
-    ``candidates`` holds every positive divisor-quotient candidate for the
-    maximal root of ``chi``, in descending order, with the exact value of
-    ``chi`` at it; it is computed on first access, so a trace nobody reads
-    costs nothing.  A rational maximal root is the candidate at which the
-    value is zero; for an irrational one every value is nonzero.  Only
-    positive candidates are built: they are deduplicated and ordered as
-    integer keys over ``|c_d|`` (see ``positive_root_candidates``).
+    ``rows`` holds every positive divisor-quotient candidate ``r/s`` for the
+    maximal root of ``chi``, in descending order, with the exact value
+    ``num/den`` of ``chi`` at it, all as integers in lowest terms (see
+    ``candidate_rows``); it is computed on first access, so a trace nobody
+    reads costs nothing.  A rational maximal root is the candidate at which
+    the value is zero; for an irrational one every value is nonzero.
+    ``candidates`` is the ``Fraction`` view of the rows.
     """
 
     chi: IntPolynomial
 
     @cached_property
+    def rows(self) -> tuple[tuple[int, int, int, int], ...]:
+        return candidate_rows(self.chi)
+
+    @cached_property
     def candidates(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple((c, self.chi(c)) for c in positive_root_candidates(self.chi))
+        return tuple((Fraction(r, s), Fraction(num, den)) for r, s, num, den in self.rows)
 
     def to_json(self) -> list:
         return [
-            {"candidate": format_rational(c), "value": format_rational(val)}
-            for c, val in self.candidates
+            {"candidate": format_ratio(r, s), "value": format_ratio(num, den)}
+            for r, s, num, den in self.rows
         ]
 
 

@@ -1,6 +1,7 @@
 """Tests for the exact polynomial layer: Sturm counting, isolation, bounds."""
 
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -264,11 +265,46 @@ class TestRationalRoots:
     def test_divisors_against_sympy(self):
         rng = SplitMix64(4099)
         values = [1, -1, 999999999989, 999983**2, -(999983**2)] + [2**k for k in range(41)]
+        # Carmichael numbers and strong base-2 pseudoprimes: Miller-Rabin
+        # must find another witness or trial division must split them.
+        values += [561, 41041, 825265, 2047, 3215031751, 2152302898747]
+        # 12-digit prime squares and products of two 12-digit primes, which
+        # only Pollard-Brent splits in reasonable time.
+        p, q, r = 999999999989, 999999999961, 100000000003
+        values += [-(r * r), p * q, -(p * r)]
+        # The smallest strong pseudoprime to every base 2..41, where the
+        # deterministic bases stop: a base past 41 witnesses it composite.
+        values.append(3317044064679887385961981)
+        # Smooth values past that bound.
+        values += [2**90 * 3**5 * 7, -(999983**5) * 1009, 10**30, 2**40 * 3**20 * 5**10 * 7**5, 1009**5 * 1013**4]
         for _ in range(250):
             m = rng.in_range(1, 10 ** rng.in_range(1, 12))
             values.append(-m if rng.below(2) else m)
         for m in values:
             assert polyroot._divisors(m) == sympy.divisors(m), m
+
+    def test_twelve_digit_prime_is_not_trial_divided(self):
+        # Counts the lines run inside polyroot: trial division of 999999999989
+        # to its square root takes 5*10^5 steps; Miller-Rabin proves it prime
+        # after the short trial division below 1000.
+        steps = 0
+
+        def trace(frame, event, arg):
+            nonlocal steps
+            if frame.f_code.co_filename != polyroot.__file__:
+                return None
+            steps += event == "line"
+            assert steps <= 20000, "trial division past the small primes"
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            divs = polyroot._divisors(999999999989)
+        finally:
+            sys.settrace(previous)
+        assert divs == [1, 999999999989]
+        assert 0 < steps <= 20000
 
     def test_candidates_against_fraction_set(self):
         # Degrees 1..9 with up to two zero roots, constants up to 10^12 and
@@ -482,6 +518,20 @@ class TestRefine:
         assert tight.interval[1] - tight.interval[0] <= Fraction(1, 2**64)
         assert in_interval_surd(*tight.interval, Fraction(0), Fraction(1), 2)
 
+    def test_root_at_upper_end(self):
+        # u - 1 on (0, 1]: the root is the end hi itself
+        a = AlgebraicNumber(P([-1, 1]), (Fraction(0), Fraction(1)))
+        assert refine(a, Fraction(1, 2**20)).exact == 1
+        assert compare_with_rational(a, Fraction(1, 2)) == 1
+        assert compare_with_rational(a, 1) == 0
+        with pytest.raises(ZeroDivisionError):
+            reciprocal(AlgebraicNumber(P([0, 1]), (Fraction(-1), Fraction(0))))
+
+    def test_compare_with_rational_root(self):
+        # u - 1/2 on (0, 1], compared with its own root inside the interval
+        a = AlgebraicNumber(P([-1, 2]), (Fraction(0), Fraction(1)))
+        assert [compare_with_rational(a, Fraction(k, 4)) for k in (1, 2, 3)] == [1, 0, -1]
+
     def test_reciprocal_with_root_at_lower_end(self):
         # (u - 1) (u^2 - 3) on (1, 2]: the excluded end 1 is a root, so the
         # inverted interval must not end at 1/1 = 1
@@ -530,6 +580,9 @@ class _FractionBisection:
     def bisections(self, a: AlgebraicNumber):
         p, (lo, hi) = a.minpoly_factor, a.interval
         s_hi = self.sign(p, hi)
+        if s_hi == 0:
+            yield AlgebraicNumber.from_rational(hi)
+            return
         while True:
             mid = (lo + hi) / 2
             s = self.sign(p, mid)
@@ -620,10 +673,12 @@ class TestFractionBisectionOracle:
                 lambda: polyroot._isolate_topmost(chain, bound),
                 lambda ref: ref.isolate_topmost(chain, -bound, bound),
             )
-            if top is None or _FractionBisection().sign(h, top[1]) == 0:
-                # A root at hi stays inexact under bisection, and at hi = 0
-                # lo never clears 0; such ends come only from this raw stage.
+            if top is None:
                 continue
+            if _FractionBisection().sign(h, top[1]) == 0:
+                # A root at hi is exact as soon as bisection starts; such
+                # ends come only from this raw stage.
+                seen.add("root at hi")
             raw = AlgebraicNumber(h, top)
             cleared = self.bisection(monkeypatch, "clear_lower_end", raw)
             for width in (Fraction(1, 2 * h.coeffs[-1] ** 2), Fraction(1, 3**20)):
@@ -633,7 +688,7 @@ class TestFractionBisectionOracle:
                 self.bisection(monkeypatch, "reciprocal", raw)
             seen.add((p.coeffs[-1] < 0, p.coeffs[0] == 0, raw.interval[0] < 0 < raw.interval[1]))
             seen.add("cleared" if cleared.interval != raw.interval else "kept")
-        assert {"exact", "inexact", "cleared", "kept", (True, True, True)} <= seen
+        assert {"exact", "inexact", "cleared", "kept", "root at hi", (True, True, True)} <= seen
 
     def test_threshold_intervals(self, monkeypatch):
         for p in _seeded_polynomials(8009, 400):

@@ -3,15 +3,17 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from nefslope.errors import NegationIsNef, SlopeIsInfinite
-from nefslope.generators import GenSpec, gen_random
+from nefslope.exactio import format_rational
+from nefslope.generators import GenSpec, SplitMix64, gen_random
 from nefslope.numdata import (
     IntersectionProfile,
     binary_profile,
     profile_from_matrix,
 )
-from nefslope.polyroot import chi_polynomial, compare_with_rational, rational_root_candidates, refine
+from nefslope.polyroot import IntPolynomial, chi_polynomial, compare_with_rational, refine
 from nefslope.slope import (
     CandidateTrace,
     IrrationalSlope,
@@ -28,6 +30,18 @@ from oracle import in_interval_surd, surface_zeta_oracle
 
 def surface(m2, lm, l2):
     return IntersectionProfile(2, (m2, lm, l2))
+
+
+def _reference_trace(chi: IntPolynomial) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Every positive r/s with r | c_0 and s | c_d, zero roots stripped, as
+    a descending ``Fraction`` set, with chi at it by ``Fraction`` powers."""
+    coeffs = list(chi.coeffs)
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    if len(coeffs) < 2:
+        return ()
+    cands = {Fraction(r, s) for r in sympy.divisors(coeffs[0]) for s in sympy.divisors(coeffs[-1])}
+    return tuple((c, sum(k * c**i for i, k in enumerate(chi.coeffs))) for c in sorted(cands, reverse=True))
 
 
 def profiles_from(spec: GenSpec):
@@ -150,7 +164,6 @@ class TestCertify:
         assert all(v != 0 for v in cands.values())
 
     def test_trace_is_the_positive_candidates(self):
-        # The benchmark's stage replay counts the trace this way.
         profiles = (
             profiles_from(GenSpec("product-matrix", seed=14, count=30, n=4, bound=6))
             + profiles_from(GenSpec("surface", seed=15, count=60, bound=10**6))
@@ -158,8 +171,33 @@ class TestCertify:
         )
         for profile in profiles:
             chi = chi_polynomial(profile)
-            expected = tuple((c, chi(c)) for c in rational_root_candidates(chi) if c > 0)
-            assert CandidateTrace(chi).candidates == expected
+            assert CandidateTrace(chi).candidates == _reference_trace(chi)
+
+    def test_json_is_the_reference_trace(self):
+        rng = SplitMix64(3301)
+        polys = [chi_polynomial(surface(0, 3, 2)), chi_polynomial(surface(3, 5, 3))]
+        for _ in range(150):
+            # degrees 1..6, up to two zero roots, leads of either sign
+            coeffs = [rng.in_range(-10**3, 10**3) for _ in range(rng.in_range(2, 7))]
+            coeffs[0] = rng.in_range(1, 10 ** rng.in_range(1, 8)) * (-1 if rng.below(2) else 1)
+            coeffs[-1] = rng.in_range(1, 10 ** rng.in_range(1, 4)) * (-1 if rng.below(2) else 1)
+            polys.append(IntPolynomial.of([0] * rng.below(3) + coeffs))
+        for spec in (
+            GenSpec("product-matrix", seed=16, count=10, n=5, bound=10),
+            GenSpec("surface", seed=17, count=6, bound=10**11 - 1),
+            GenSpec("surface", seed=18, count=8, bound=10**12 - 1),
+        ):
+            polys += [chi_polynomial(profile) for profile in profiles_from(spec)]
+        seen = set()
+        for chi in polys:
+            reference = _reference_trace(chi)
+            expected = [{"candidate": format_rational(c), "value": format_rational(v)} for c, v in reference]
+            assert CandidateTrace(chi).to_json() == expected, chi
+            seen.add((chi.coeffs[0] == 0, chi.coeffs[-1] < 0, any(v == 0 for _, v in reference)))
+            seen.add(max(len(str(abs(c))) for c in chi.coeffs) >= 11)
+        # zero roots, negative leads, zero values (rational roots, such as the
+        # maximal root 3 of surface(3, 5, 3)) and 11-12 digits all occur
+        assert {(True, False, False), (False, True, False), (False, False, True), True} <= seen
 
     def test_proportional_pair(self):
         cert = certify_rationality(surface(8, 4, 2))
