@@ -3,7 +3,7 @@
 Subcommands read instance JSON (a file path, inline JSON, or "-" for
 stdin), run the corresponding operation and emit certificate JSON on
 stdout with a one-line human summary on stderr.  Output is byte-stable for
-fixed input and flags.
+fixed input, flags and ``NEFSLOPE_WIDTH`` (the default ``slope --width``).
 
 Exit codes: 0 success / consistent-with-simple, 10 non-simplicity witness
 (scan only), 2 input error, 3 precondition violation.
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import generators, simplicity
 from .errors import InputError, NefslopeError, PreconditionError
-from .exactio import format_rational, parse_rational
+from .exactio import format_rational, json_int, parse_rational
 from .numdata import (
     IntersectionProfile,
     SymMatrixModel,
@@ -46,24 +46,14 @@ _LEVELS = {
 
 
 def _write_output(args, text: str) -> None:
-    output = getattr(args, "output", None)
-    if output:
+    if args.output:
         try:
-            with open(output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
             raise InputError(f"cannot write output: {exc}") from exc
     else:
         print(text)
-
-
-def _json_int(text: str) -> int | str:
-    # An integer literal past the interpreter's int-string limit stays a
-    # string, so that the field parser rejects it by name.
-    try:
-        return int(text)
-    except ValueError:
-        return text
 
 
 def _read_payload(text_or_path: str):
@@ -78,7 +68,7 @@ def _read_payload(text_or_path: str):
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read input: {exc}") from exc
     try:
-        return json.loads(raw, parse_int=_json_int)
+        return json.loads(raw, parse_int=json_int)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON at line {exc.lineno} column {exc.colno} (char {exc.pos}): {exc.msg}"
@@ -100,53 +90,42 @@ def _load_profile(data, level: ValidationLevel) -> IntersectionProfile:
     return profile
 
 
-def _emit(args, payload, summary: str) -> None:
-    _write_output(args, json.dumps(payload, indent=2))
-    print(summary, file=sys.stderr)
-
-
-def _cmd_slope(args) -> int:
-    profile = _load_profile(_read_payload(args.input), args.level)
+def _slope(args, profile):
     result = slope(profile).refined(args.width)
     if result.infinite:
-        _emit(args, result.to_json(), "slope: infinite")
-        return EXIT_OK
+        return result.to_json(), "slope: infinite"
     verdict = "rational" if result.slope_fraction is not None else "irrational"
-    _emit(args, result.to_json(), f"slope: {result.slope} ({verdict})")
-    return EXIT_OK
+    return result.to_json(), f"slope: {result.slope} ({verdict})"
 
 
-def _cmd_nef(args) -> int:
-    profile = _load_profile(_read_payload(args.input), args.level)
+def _nef(args, profile):
     report = is_nef(profile)
     word = "nef" if report.nef else f"not nef (k={report.witness_k})"
     if report.ample:
         word += ", ample"
     elif report.nef:
         word += ", not ample"
-    _emit(args, report.to_json(), f"nefness: {word}")
-    return EXIT_OK
+    return report.to_json(), f"nefness: {word}"
 
 
-def _cmd_certify(args) -> int:
-    profile = _load_profile(_read_payload(args.input), args.level)
+def _certify(args, profile):
     payload = certify_rationality(profile).to_json()
     if payload["verdict"] == "rational":
-        summary = f"rationality: rational {payload['p']}/{payload['q']}"
-    else:
-        summary = "rationality: irrational"
-    _emit(args, payload, summary)
-    return EXIT_OK
+        return payload, f"rationality: rational {payload['p']}/{payload['q']}"
+    return payload, "rationality: irrational"
 
 
-def _cmd_bound(args) -> int:
-    profile = _load_profile(_read_payload(args.input), args.level)
-    bound = slope_lower_bound(profile)
-    _emit(args, {"bound": format_rational(bound)}, f"lower bound: {format_rational(bound)}")
-    return EXIT_OK
+def _bound(args, profile):
+    bound = format_rational(slope_lower_bound(profile))
+    return {"bound": bound}, f"lower bound: {bound}"
 
 
-def _cmd_scan(args) -> int:
+def _cmd_profile(args):
+    payload, summary = args.report(args, _load_profile(_read_payload(args.input), args.level))
+    return payload, summary, EXIT_OK
+
+
+def _cmd_scan(args):
     data = _read_payload(args.input)
     if isinstance(data, dict):
         data = data.get("instances", data)
@@ -162,19 +141,18 @@ def _cmd_scan(args) -> int:
         profile.to_json()
     result = simplicity.scan(items, jobs=args.jobs)
     witnesses = sum(1 for e in result.entries if e.verdict == simplicity.WITNESS)
-    _emit(args, result.to_json(), f"scan: {result.overall} ({witnesses} witness(es), {len(items)} instance(s))")
-    return EXIT_WITNESS if result.witness_found else EXIT_OK
+    summary = f"scan: {result.overall} ({witnesses} witness(es), {len(items)} instance(s))"
+    return result.to_json(), summary, EXIT_WITNESS if result.witness_found else EXIT_OK
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     spec = generators.GenSpec(kind=args.kind, seed=args.seed, count=args.count, n=args.n, bound=args.bound)
     out = []
     for idx, inst in enumerate(generators.gen_random(spec)):
         record = {"label": f"{args.kind}-{idx}"}
         record.update(inst.to_json())
         out.append(record)
-    _emit(args, out, f"gen: {len(out)} {args.kind} instance(s), seed {args.seed}")
-    return EXIT_OK
+    return out, f"gen: {len(out)} {args.kind} instance(s), seed {args.seed}", EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,19 +180,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="refinement width for displayed intervals (rational, e.g. 1/1000000 or 1e-12)",
     )
-    p.set_defaults(func=_cmd_slope)
+    p.set_defaults(func=_cmd_profile, report=_slope)
 
     p = sub.add_parser("nef", help="coordinate-wise nefness test of a bundle profile")
     add_common(p)
-    p.set_defaults(func=_cmd_nef)
+    p.set_defaults(func=_cmd_profile, report=_nef)
 
     p = sub.add_parser("certify", help="rationality certificate of a finite threshold")
     add_common(p)
-    p.set_defaults(func=_cmd_certify)
+    p.set_defaults(func=_cmd_profile, report=_certify)
 
     p = sub.add_parser("bound", help="coefficient lower bound for the threshold")
     add_common(p)
-    p.set_defaults(func=_cmd_bound)
+    p.set_defaults(func=_cmd_profile, report=_bound)
 
     p = sub.add_parser("scan", help="scan labelled instances for non-simplicity witnesses")
     add_common(p)
@@ -252,7 +230,10 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "width"):
             args.width = _parse_width(args.width)
-        return args.func(args)
+        payload, summary, code = args.func(args)
+        _write_output(args, json.dumps(payload, indent=2))
+        print(summary, file=sys.stderr)
+        return code
     except PreconditionError as exc:
         print(f"precondition violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -83,9 +83,31 @@ def format_rational(value: Fraction | int) -> str:
     return format_ratio(value.numerator, value.denominator)
 
 
+def json_int(text: str) -> int | str:
+    """``int(text)`` as a ``json.loads`` hook, or ``text`` itself past the
+    int-string limit, so that the field parser rejects it by name."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def describe_int(value: int) -> str:
     """``str(value)`` for messages, or its bit length past the int-string limit; never raises."""
     try:
         return str(value)
     except ValueError:
         return f"<{value.bit_length()}-bit integer>"
+
+
+def describe(x) -> str:
+    """``repr(x)`` for messages, with integers and ``Fraction`` parts as in
+    :func:`describe_int`; never raises."""
+    if isinstance(x, Fraction):
+        return f"Fraction({describe_int(x.numerator)}, {describe_int(x.denominator)})"
+    if isinstance(x, int):
+        return describe_int(x)
+    try:
+        return repr(x)
+    except ValueError:  # a container of integers past the limit
+        return f"<{type(x).__name__}>"

@@ -23,7 +23,7 @@ from math import comb, gcd, lcm
 from typing import Sequence
 
 from .errors import AsymmetricInput, InputError, NonIntegralProfile
-from .exactio import describe_int, format_int, format_rational, parse_int, parse_rational
+from .exactio import describe, describe_int, format_int, format_rational, parse_int, parse_rational
 from .polyroot import NEG_INF, POS_INF, chi_polynomial, sturm_chain, sturm_count
 
 
@@ -125,25 +125,15 @@ def _is_plain_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _describe(x) -> str:
-    """``repr(x)`` for messages, by size past the int-string limit as in ``describe_int``; never raises."""
-    if isinstance(x, Fraction):
-        return f"Fraction({describe_int(x.numerator)}, {describe_int(x.denominator)})"
-    try:
-        return describe_int(x) if _is_plain_int(x) else repr(x)
-    except ValueError:  # a container of integers past the limit
-        return f"<{type(x).__name__}>"
-
-
 def _syntactic_violations(p: IntersectionProfile) -> list[Violation]:
     if not _is_plain_int(p.n) or p.n < 1:
-        return [Violation("dimension", f"n must be a positive integer, got {_describe(p.n)}", (p.n,))]
+        return [Violation("dimension", f"n must be a positive integer, got {describe(p.n)}", (p.n,))]
     if len(p.v) != p.n + 1:
         message = f"expected {describe_int(p.n + 1)} entries, got {len(p.v)}"
         return [Violation("profile-length", message, (len(p.v),))]
     bad = [x for x in p.v if not _is_plain_int(x)]
     if bad:
-        return [Violation("integrality", f"non-integer entries [{', '.join(map(_describe, bad))}]", tuple(bad))]
+        return [Violation("integrality", f"non-integer entries [{', '.join(map(describe, bad))}]", tuple(bad))]
     if p.v[p.n] <= 0:
         return [Violation("ample-top", f"L^n must be positive, got {describe_int(p.v[p.n])}", (p.v[p.n],))]
     return []

@@ -20,9 +20,10 @@ integer Horner at a point ``(a : b)``, ``b >= 0``, with +-infinity as
 * ``candidate_rows`` -- the certificate trace in integers: a row
   ``(r, s, num, den)`` per positive quotient r/s (r | c_0, s | c_d), with
   ``p(r/s) = num/den``, from divisors by Pollard-Brent factoring with
-  proven primality; ``positive_root_candidates`` is the ``Fraction`` view
-  of the quotients, ``rational_root_candidates`` appends the negatives,
-  ``rational_roots`` keeps the roots among them;
+  proven primality (a cofactor neither proven prime nor split is refused
+  with :class:`InputError`); ``positive_root_candidates`` is the
+  ``Fraction`` view of the quotients, ``rational_root_candidates`` appends
+  the negatives, ``rational_roots`` keeps the roots among them;
 * ``cauchy_bound`` -- the classical radius ``1 + max |c_k / c_d|``
   enclosing every root.
 
@@ -41,6 +42,7 @@ from fractions import Fraction
 from math import comb, gcd, isinf, lcm
 from typing import TYPE_CHECKING, Callable, Iterable
 
+from .errors import InputError
 from .exactio import describe_int, format_int, format_rational
 
 if TYPE_CHECKING:
@@ -323,11 +325,11 @@ def _rho(n: int) -> int:
 def _prime_factors(m: int) -> list[int]:
     """The prime factors of ``m > 0`` with multiplicity, by trial division
     until ``d^2`` passes the shrinking cofactor, which leaves 1 or a prime.
-    At ``d = 1001`` a cofactor that a Miller-Rabin base witnesses composite
-    is split by :func:`_rho`, and one that no base 2..41 does below
-    ``_MR_PROVEN`` is prime; past that bound, bases up to 1000 may witness,
-    and trial division goes on through a cofactor none does, so no verdict
-    rests on a probabilistic test."""
+    At ``d = 1001`` the cofactor has one outcome: a Miller-Rabin base
+    witnesses it composite and :func:`_rho` splits it; or no base 2..41
+    does below ``_MR_PROVEN``, and it is prime; or no base 2..999 does at
+    or above that bound, and :class:`InputError` refuses it, because no
+    verdict rests on a probabilistic test."""
     primes, d = [], 2
     while d * d <= m:
         if d == 1001:
@@ -335,8 +337,12 @@ def _prime_factors(m: int) -> list[int]:
             if any(_witnessed_composite(m, a) for a in (_MR_BASES if proven else range(2, 1000))):
                 g = _rho(m)
                 return primes + _prime_factors(g) + _prime_factors(m // g)
-            if proven:
-                break
+            if not proven:
+                raise InputError(
+                    f"divisor trace: cannot prove a cofactor of {m.bit_length()} bits prime; "
+                    f"Miller-Rabin proves primality only below {_MR_PROVEN}"
+                )
+            break
         while m % d == 0:
             m //= d
             primes.append(d)

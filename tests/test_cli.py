@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import nefslope.cli
 from nefslope.cli import main
 
 SURFACE_IRRATIONAL = '{"n": 2, "v": [2, 3, 2]}'
@@ -310,6 +314,44 @@ class TestErrorHandling:
         assert payload is None
         assert "validation failed" in err and size in err
 
+    @pytest.mark.parametrize("command", ["slope", "certify"])
+    def test_unprovable_prime_in_trace(self, capsys, command):
+        # M^2 = 10^25 + 13 is a prime past the bound where Miller-Rabin
+        # proves primality, so the divisor trace is refused, not trial-divided.
+        profile = json.dumps({"n": 2, "v": ["10000000000000000000000013", "10000000000000", "2"]})
+        start = time.perf_counter()
+        code = main([command, "--input", profile])
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("input error: divisor trace: cannot prove a cofactor of 84 bits prime")
+        assert "3317044064679887385961981" in captured.err
+
     def test_syntactic_violation(self, capsys):
         code, _, err = run(capsys, ["slope", "--input", '{"n": 2, "v": [0, 1, -2]}'])
         assert code == 3
+
+
+#: The modules that ``import nefslope.cli`` adds under ``python -S`` on
+#: CPython 3.11, recorded when start-up was last measured.
+CLI_IMPORTS = frozenset("""
+    __future__ _ast _collections _collections_abc _decimal _functools _json _opcode _operator _sre
+    _stat _typing _weakrefset argparse ast collections collections.abc contextlib copy copyreg
+    dataclasses decimal dis enum fractions functools genericpath gettext importlib
+    importlib._bootstrap importlib._bootstrap_external importlib.machinery inspect itertools json
+    json.decoder json.encoder json.scanner keyword linecache math nefslope nefslope.cli
+    nefslope.errors nefslope.exactio nefslope.generators nefslope.numdata nefslope.polyroot
+    nefslope.simplicity nefslope.slope numbers opcode operator os os.path posixpath re re._casefix
+    re._compiler re._constants re._parser reprlib stat token tokenize types typing typing.io
+    typing.re warnings weakref
+""".split())
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the import set is recorded on CPython 3.11")
+def test_cli_adds_no_imports():
+    # CLI start-up is dominated by imports; a new one must be a deliberate change.
+    code = "import sys; before = set(sys.modules); import nefslope.cli; print(*set(sys.modules) - before)"
+    env = dict(os.environ, PYTHONPATH=str(Path(nefslope.cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert "nefslope.cli" in done.stdout.split()
+    assert set(done.stdout.split()) - CLI_IMPORTS == set()

@@ -6,8 +6,11 @@ exception escapes ``main``.  Examples are derandomized so the suite stays
 deterministic.  Sizes stay small (n <= 5, entries <= 10^6), except in the
 magnitude test: n <= 3 with profile entries up to the 4300-digit int-string
 limit and matrix entries up to 2200 digits, whose products pass it, under
-the subcommands that isolate no root (``nef`` and ``bound``).  Each example
-runs under a wall-time bound, so a hang fails the suite instead of stalling it.
+the subcommands that isolate no root (``nef`` and ``bound``).  ``slope
+--width`` draws garbage, non-positive values, exponents past the int-string
+limit, widths below the 2^-4096 floor and valid rationals; ``--output`` draws
+a file, a directory and a path with a missing parent.  Each example runs
+under a wall-time bound, so a hang fails the suite instead of stalling it.
 """
 
 import contextlib
@@ -49,21 +52,29 @@ def input_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.json"
 
 
+@pytest.fixture(scope="module")
+def output_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz-output")
+
+
 def _out_of_time(signum, frame):
     raise TimeoutError(f"example ran past {EXAMPLE_SECONDS} s")
 
 
-def run(command, level, text):
+def run(command, level, text, *flags):
+    """Exit code, stdout and stderr of one ``main`` call under the wall-time bound."""
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _out_of_time)
     signal.setitimer(signal.ITIMER_REAL, EXAMPLE_SECONDS)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--input", text, "--level", level])
+            code = main([command, "--input", text, "--level", level, *flags])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert code in EXIT_CODES, (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def wire(x, as_string):
@@ -104,6 +115,21 @@ def matrix_models(draw):
 
 
 instances = profiles() | matrix_models()
+
+#: ``--width`` values: 2^-4096 is about 9.5e-1234, and the int-string limit
+#: counts a written exponent with its magnitude.
+widths = st.one_of(
+    st.text(max_size=8),
+    st.integers(-(10**6), 0).map(str),
+    st.integers(1, 10**6).map(lambda k: f"-1/{k}"),
+    st.integers(4300, 10**7).map(lambda k: f"1e-{k}"),
+    st.integers(4300, 10**7).map(lambda k: f"1e{k}"),
+    st.integers(1234, 4290).map(lambda k: f"1e-{k}"),
+    st.integers(4097, 4200).map(lambda k: f"1/{2**k}"),
+    st.integers(0, 1233).map(lambda k: f"1e-{k}"),
+    st.integers(1, 4096).map(lambda k: f"1/{2**k}"),
+    st.tuples(st.integers(1, 10**6), st.integers(1, 10**20)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
 
 
 @st.composite
@@ -187,3 +213,27 @@ class TestCliFuzz:
     @given(instance=huge_instances(), command=st.sampled_from(("nef", "bound")), level=levels)
     def test_magnitudes(self, instance, command, level):
         run(command, level, json.dumps(instance))
+
+    @FUZZ
+    @given(instance=instances, width=widths, level=levels)
+    def test_width(self, instance, width, level):
+        # "--width=" keeps a value that starts with "-" from reading as a flag.
+        run("slope", level, json.dumps(instance), f"--width={width}")
+
+    @FUZZ
+    @given(invocation=invocations(), level=levels, target=st.sampled_from(["file", "directory", "missing-parent"]))
+    def test_output(self, output_dir, invocation, level, target):
+        command, payload = invocation
+        text = json.dumps(payload)
+        path = {"file": output_dir / "out.json", "directory": output_dir, "missing-parent": output_dir / "no" / "out.json"}
+        (output_dir / "out.json").unlink(missing_ok=True)
+        code, out, err = run(command, level, text)
+        written = run(command, level, text, "--output", str(path[target]))
+        assert written[1] == ""
+        if code in (2, 3) or target == "file":
+            assert written == (code, "", err)
+            assert (code in (2, 3)) != path["file"].exists()
+        else:
+            assert written[0] == 2 and written[2].startswith("input error: cannot write output:")
+        if written[0] in (0, 10):
+            assert path["file"].read_text(encoding="utf-8") == out

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nefslope import polyroot
+from nefslope.errors import InputError
 from nefslope.generators import GenSpec, SplitMix64, gen_random
 from nefslope.numdata import IntersectionProfile, ValidationLevel, profile_from_matrix, validate
 from nefslope.polyroot import (
@@ -305,6 +306,15 @@ class TestRationalRoots:
             sys.settrace(previous)
         assert divs == [1, 999999999989]
         assert 0 < steps <= 20000
+
+    @pytest.mark.parametrize("m", [10**25 + 13, -(2**5) * (10**25 + 13), 1009 * (10**25 + 13)])
+    def test_unprovable_prime_is_refused(self, m):
+        # 10^25 + 13 is an 84-bit prime past the bound below which bases
+        # 2..41 prove primality: no base splits it and trial division to its
+        # square root would take 1.6*10^12 steps, so it is refused, also as
+        # the cofactor that rho leaves beside 1009.
+        with pytest.raises(InputError, match=r"cofactor of 84 bits prime; .* below 3317044064679887385961981$"):
+            polyroot._divisors(m)
 
     def test_candidates_against_fraction_set(self):
         # Degrees 1..9 with up to two zero roots, constants up to 10^12 and

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from nefslope.errors import NegationIsNef, SlopeIsInfinite
+from nefslope.errors import InputError, NegationIsNef, SlopeIsInfinite
 from nefslope.exactio import format_rational
 from nefslope.generators import GenSpec, SplitMix64, gen_random
 from nefslope.numdata import (
@@ -14,6 +14,7 @@ from nefslope.numdata import (
     profile_from_matrix,
 )
 from nefslope.polyroot import IntPolynomial, chi_polynomial, compare_with_rational, refine
+from nefslope.simplicity import IRRATIONAL, scan
 from nefslope.slope import (
     CandidateTrace,
     IrrationalSlope,
@@ -198,6 +199,17 @@ class TestCertify:
         # zero roots, negative leads, zero values (rational roots, such as the
         # maximal root 3 of surface(3, 5, 3)) and 11-12 digits all occur
         assert {(True, False, False), (False, True, False), (False, False, True), True} <= seen
+
+    def test_unprovable_prime_refuses_only_the_trace(self):
+        # M^2 = 10^25 + 13 is a prime that Miller-Rabin cannot prove: reading
+        # the trace raises, while the threshold and a scan are unaffected.
+        profile = surface(10**25 + 13, 10**13, 2)
+        result = slope(profile)
+        assert not result.infinite and isinstance(result.rationality, IrrationalSlope)
+        assert 0 < result.slope.interval[0] < result.slope.interval[1] < Fraction(1, 10**12)
+        with pytest.raises(InputError, match="3317044064679887385961981"):
+            result.rationality.trace.rows
+        assert [e.verdict for e in scan([("prime", profile)]).entries] == [IRRATIONAL]
 
     def test_proportional_pair(self):
         cert = certify_rationality(surface(8, 4, 2))
