@@ -16,7 +16,10 @@ integer Horner at a point ``(a : b)``, ``b >= 0``, with +-infinity as
   off the chain.  ``sturm_count`` counts roots on half-open intervals
   ``(lo, hi]``, with ``lo``/``hi`` rationals or +-infinity;
 * ``isolate_max_root`` / ``refine`` -- certified isolation of the largest
-  real root as an :class:`AlgebraicNumber`;
+  real root as an :class:`AlgebraicNumber`: isolation bisects from the
+  power-of-two Fujiwara bound, and a narrowing by more than 64 bits runs
+  quadratic interval refinement (QIR; Abbott, 2014), while shorter ones
+  and ``clear_lower_end`` bisect;
 * ``candidate_rows`` -- the certificate trace in integers: a row
   ``(r, s, num, den)`` per positive quotient r/s (r | c_0, s | c_d), with
   ``p(r/s) = num/den``, from divisors by Pollard-Brent factoring with
@@ -29,7 +32,8 @@ integer Horner at a point ``(a : b)``, ``b >= 0``, with +-infinity as
 
 ``isolate_max_root`` enumerates no divisors: it isolates the top root of
 the square-free part ``h`` and decides rationality by one exact check at
-the nearest rational with denominator at most ``D = lead(h)``.  An
+the one point ``k / lead(h)``, ``k`` an integer, that its narrowed interval
+can hold.  An
 :class:`AlgebraicNumber` is therefore rational exactly when its ``exact``
 field is set; no numeric equality test against rationals is ever needed.
 """
@@ -39,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, gcd, isinf, lcm
+from math import comb, gcd, isinf, isqrt, lcm
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import InputError
@@ -275,6 +279,20 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return 1 + Fraction(top, lead)
 
 
+def _fujiwara_bound(p: IntPolynomial) -> Fraction:
+    """A power of two ``B`` with every root of ``p`` strictly inside ``(-B, B)``.
+
+    Fujiwara's bound ``2 max_k |c_{d-k} / c_d|^(1/k)`` (Fujiwara, 1916) over
+    the nonzero lower coefficients, rounded up by bit lengths: as
+    ``|c_{d-k} / c_d| < 2^(bits(c_{d-k}) - bits(c_d) + 1)``, ``B`` is ``2^(1 +
+    max_k ceil((bits(c_{d-k}) - bits(c_d) + 1) / k))``, and 1 when every
+    lower coefficient is zero.
+    """
+    top = p.coeffs[-1].bit_length()
+    exps = [-((top - 1 - c.bit_length()) // k) for k, c in enumerate(reversed(p.coeffs[:-1]), 1) if c]
+    return Fraction(2) ** (1 + max(exps)) if exps else Fraction(1)
+
+
 #: Miller-Rabin bases that prove primality below ``_MR_PROVEN`` (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN = 3317044064679887385961981
@@ -293,14 +311,29 @@ def _witnessed_composite(n: int, a: int) -> bool:
     return True
 
 
+#: Squarings :func:`_rho` may spend on one cofactor: rounds of ``r = 1, 2, ...,
+#: 2^19`` steps, each counted as its ``2r``.  Products of two 12-digit primes
+#: split in at most 0.9 million squarings, and the strong pseudoprime
+#: ``_MR_PROVEN``, a product of two 13-digit primes, in 1.8 million; past the
+#: budget the trace is refused, after about 1 s on CPython 3.11.
+_RHO_BUDGET = 2**21
+
+
 def _rho(n: int) -> int:
     """A proper divisor of a composite ``n`` with no factor below 1001, by
     Brent's rho on ``y -> y^2 + c`` (Brent, BIT 1980): one gcd per 128 steps,
     a batch that reaches ``n`` replayed step by step, the next ``c`` if that
-    reaches ``n`` too."""
+    reaches ``n`` too.  A round that would pass ``_RHO_BUDGET`` squarings
+    raises :class:`InputError`."""
+    steps = 0
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if (steps := steps + 2 * r) > _RHO_BUDGET:
+                raise InputError(
+                    f"divisor trace: cannot split a composite cofactor of {n.bit_length()} bits "
+                    f"within {_RHO_BUDGET} squarings of Pollard-Brent rho"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -326,10 +359,11 @@ def _prime_factors(m: int) -> list[int]:
     """The prime factors of ``m > 0`` with multiplicity, by trial division
     until ``d^2`` passes the shrinking cofactor, which leaves 1 or a prime.
     At ``d = 1001`` the cofactor has one outcome: a Miller-Rabin base
-    witnesses it composite and :func:`_rho` splits it; or no base 2..41
-    does below ``_MR_PROVEN``, and it is prime; or no base 2..999 does at
-    or above that bound, and :class:`InputError` refuses it, because no
-    verdict rests on a probabilistic test."""
+    witnesses it composite and :func:`_rho` splits it, or refuses it past
+    ``_RHO_BUDGET`` squarings; or no base 2..41 does below ``_MR_PROVEN``,
+    and it is prime; or no base 2..999 does at or above that bound, and
+    :class:`InputError` refuses it, because no verdict rests on a
+    probabilistic test."""
     primes, d = [], 2
     while d * d <= m:
         if d == 1001:
@@ -468,42 +502,94 @@ class AlgebraicNumber:
         }
 
 
+#: Grid size past which :func:`refine` runs QIR: a narrowing by more than 64
+#: bits.  Shorter ones bisect: there QIR's small grids gain little more than
+#: a bit per evaluation, plus one evaluation at ``lo``, and measured slower.
+_QIR_CELLS = 2**64
+
+
 def _bisect(
-    p: IntPolynomial, lo: Fraction, hi: Fraction, done: Callable[[int, int, int], bool]
+    p: IntPolynomial,
+    lo: Fraction,
+    hi: Fraction,
+    done: Callable[[int, int, int], bool],
+    cells: Callable[[int, int, int], int] | None = None,
 ) -> AlgebraicNumber:
-    """Bisect ``(lo, hi]``, isolating a root of ``p``, until ``done(a, c, b)``
-    holds for its ends ``(a/b, c/b]`` or ``hi`` or a midpoint ``(a + c)/2b`` is
-    the root.  Each step doubles ``b`` and the kept end, so no fraction is
-    reduced; the sign at ``hi`` is taken once, as ``hi`` only moves to
-    midpoints of that sign."""
+    """Narrow ``(lo, hi]``, isolating a root of ``p``, until ``done(a, c, b)``
+    holds for its ends ``(a/b, c/b]`` or an evaluated point is the root.
+
+    Bisection doubles ``b`` and the kept end, so the midpoint is ``(a + c :
+    2b)`` and no fraction is reduced.  ``cells(a, c, b)``, if given, is the
+    power-of-two grid size that reaches the target; past ``_QIR_CELLS`` the
+    steps are quadratic interval refinement (QIR; Abbott, 2014): the secant
+    through the scaled values at both ends guesses a cell of an ``N``-cell
+    grid with points ``(a N + j (c - a) : b N)``, and the signs at the ends
+    of that cell check it.  A hit keeps the cell and squares ``N``; a miss
+    takes ``N`` to ``max(4, isqrt N)`` and one bisection step.  Only signs
+    equal to or opposite that at ``hi`` are read: ``lo`` may be a root below
+    the number, and its value steers the secant only.
+    """
     b = lcm(lo.denominator, hi.denominator)
     a, c = lo.numerator * (b // lo.denominator), hi.numerator * (b // hi.denominator)
-    s_hi = None
+    d, v_hi = p.degree, None
     while not done(a, c, b):
-        if s_hi is None:
-            s_hi = _sgn(_scaled_value(p, c, b))
-            if s_hi == 0:
-                return AlgebraicNumber.from_rational(Fraction(c, b))
+        if v_hi is None:
+            # The first step takes the value at hi, and for QIR at lo.
+            v_hi = _scaled_value(p, c, b)
+            if v_hi == 0:
+                return AlgebraicNumber.from_rational(hi)
+            s_hi = _sgn(v_hi)
+            n = 4 if cells and cells(a, c, b) > _QIR_CELLS else 0
+            v_lo = _scaled_value(p, a, b) if n else 0
+        if n:
+            m = min(n, cells(a, c, b))
+            # The secant crosses zero at the share v_lo / (v_lo - v_hi) of the
+            # interval; the guess is the nearest inner grid point.
+            t, u = -s_hi * v_lo * m, s_hi * (v_hi - v_lo)
+            j = min(max((2 * t + u) // (2 * u), 1), m - 1)
+            step, base, den = c - a, a * m, b * m
+            v = _scaled_value(p, base + j * step, den)
+            if v == 0:
+                return AlgebraicNumber.from_rational(Fraction(base + j * step, den))
+            k = j - 1 if _sgn(v) == s_hi else j + 1
+            if k == 0 or k == m:
+                w = (v_lo if k == 0 else v_hi) * m**d
+            elif (w := _scaled_value(p, base + k * step, den)) == 0:
+                return AlgebraicNumber.from_rational(Fraction(base + k * step, den))
+            if _sgn(w) != _sgn(v):
+                a, b, n = base + min(j, k) * step, den, n * n
+                c, (v_lo, v_hi) = a + step, ((w, v) if k < j else (v, w))
+                continue
+            n = max(4, isqrt(n))
         mid, b = a + c, 2 * b
-        s = _sgn(_scaled_value(p, mid, b))
-        if s == 0:
+        v = _scaled_value(p, mid, b)
+        if v == 0:
             return AlgebraicNumber.from_rational(Fraction(mid, b))
-        if s == s_hi:
-            a, c = 2 * a, mid
+        if _sgn(v) == s_hi:
+            a, c, v_lo, v_hi = 2 * a, mid, v_lo << d, v
         else:
-            a, c = mid, 2 * c
+            a, c, v_lo, v_hi = mid, 2 * c, v, v_hi << d
     return AlgebraicNumber(p, (Fraction(a, b), Fraction(c, b)))
 
 
 def refine(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
-    """Shrink the isolating interval to length <= ``width``; exact values pass through."""
+    """Shrink the isolating interval to length <= ``width``; exact values pass through.
+
+    A narrowing by more than 64 bits runs QIR on the grid sizes that
+    :func:`_bisect` takes from the target; a shorter one bisects.
+    """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     if a.exact is not None:
         return a
     num, den = width.numerator, width.denominator
-    return _bisect(a.minpoly_factor, *a.interval, lambda lo, hi, b: (hi - lo) * den <= num * b)
+
+    def cells(lo: int, hi: int, b: int) -> int:
+        """The least ``2^k`` with ``(hi - lo) / (b 2^k) <= width``."""
+        return 1 << (((hi - lo) * den - 1) // (num * b)).bit_length()
+
+    return _bisect(a.minpoly_factor, *a.interval, lambda lo, hi, b: (hi - lo) * den <= num * b, cells)
 
 
 def clear_lower_end(a: AlgebraicNumber) -> AlgebraicNumber:
@@ -580,18 +666,20 @@ def _isolate_topmost(chain: SturmChain, bound: Fraction) -> tuple[Fraction, Frac
 def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
     """The largest real root of ``p``, or None if ``p`` has no real root.
 
-    The root is isolated on the square-free part ``h``.  A rational root of
-    ``h`` has a denominator dividing ``D = lead(h)``, and two distinct such
-    rationals lie at least ``1/D^2`` apart, so once the isolating interval is
-    at most ``1/(2 D^2)`` wide the only rational candidate is the nearest
-    fraction with denominator ``<= D``; one exact evaluation decides it.  An
-    irrational root keeps that narrowed interval.
+    The root is isolated on the square-free part ``h`` by Sturm bisection
+    from ``(-B, B]``, with ``B`` the power-of-two Fujiwara bound of ``h``,
+    and narrowed by :func:`refine` to ``1/(2 D^2)``, ``D = lead(h)``, which
+    runs QIR when that is more than 64 bits away.  A rational root of ``h``
+    has a denominator dividing ``D``, so it is ``k/D`` for an integer ``k``,
+    and the narrowed ``(lo, hi]`` holds at most one such point, ``k =
+    floor(D hi)``; one exact evaluation decides it.  An irrational root keeps
+    that narrowed interval.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("isolate_max_root requires a nonzero polynomial of degree >= 1")
     chain = sturm_chain(p)
     h = chain.polys[0]
-    top = _isolate_topmost(chain, cauchy_bound(h))
+    top = _isolate_topmost(chain, _fujiwara_bound(h))
     if top is None:
         return None
     denom = h.coeffs[-1]
@@ -599,11 +687,11 @@ def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
     if root.exact is not None:
         return root
     lo, hi = root.interval
-    nearest = ((lo + hi) / 2).limit_denominator(denom)
-    # The interval test matters when the root is irrational: the nearest
-    # fraction may then be another root of h, below the maximum.
-    if lo < nearest <= hi and _scaled_value(h, *_point(nearest)) == 0:
-        return AlgebraicNumber.from_rational(nearest)
+    k = denom * hi.numerator // hi.denominator
+    # The test lo < k/D matters when the root is irrational: k/D may then be
+    # another root of h, below the maximum.
+    if lo.numerator * denom < k * lo.denominator and _scaled_value(h, k, denom) == 0:
+        return AlgebraicNumber.from_rational(Fraction(k, denom))
     return root
 
 

@@ -327,6 +327,20 @@ class TestErrorHandling:
         assert captured.err.startswith("input error: divisor trace: cannot prove a cofactor of 84 bits prime")
         assert "3317044064679887385961981" in captured.err
 
+    @pytest.mark.parametrize("command", ["slope", "certify"])
+    def test_unsplit_cofactor_in_trace(self, capsys, command):
+        # M^2 is the product of two 15-digit primes, which Pollard-Brent rho
+        # splits only after about 15 million squarings: the trace is refused
+        # once the squaring budget is spent.
+        profile = json.dumps({"n": 2, "v": ["11000000000010510000000002201", "10000000000000000", "2"]})
+        start = time.perf_counter()
+        code = main([command, "--input", profile])
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("input error: divisor trace: cannot split a composite cofactor of 94 bits")
+        assert "within 2097152 squarings" in captured.err
+
     def test_syntactic_violation(self, capsys):
         code, _, err = run(capsys, ["slope", "--input", '{"n": 2, "v": [0, 1, -2]}'])
         assert code == 3

@@ -4,9 +4,10 @@ Every input is answered or rejected with a typed exit code: 0, 10
 (scan witness), 2 (input error) or 3 (precondition violation), and no
 exception escapes ``main``.  Examples are derandomized so the suite stays
 deterministic.  Sizes stay small (n <= 5, entries <= 10^6), except in the
-magnitude test: n <= 3 with profile entries up to the 4300-digit int-string
+magnitude tests: n <= 3 with profile entries up to the 4300-digit int-string
 limit and matrix entries up to 2200 digits, whose products pass it, under
-the subcommands that isolate no root (``nef`` and ``bound``).  ``slope
+the subcommands that isolate no root (``nef`` and ``bound``) and under
+``scan``, which isolates one per instance.  ``slope
 --width`` draws garbage, non-positive values, exponents past the int-string
 limit, widths below the 2^-4096 floor and valid rationals; ``--output`` draws
 a file, a directory and a path with a missing parent.  Each example runs
@@ -213,6 +214,12 @@ class TestCliFuzz:
     @given(instance=huge_instances(), command=st.sampled_from(("nef", "bound")), level=levels)
     def test_magnitudes(self, instance, command, level):
         run(command, level, json.dumps(instance))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(instance=huge_instances(), level=levels)
+    def test_scan_magnitudes(self, instance, level):
+        # scan isolates the maximal root of every instance it answers.
+        run("scan", level, json.dumps([instance]))
 
     @FUZZ
     @given(instance=instances, width=widths, level=levels)

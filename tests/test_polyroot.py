@@ -235,6 +235,42 @@ class TestCauchyBound:
         assert sturm_count(chain, NEG_INF, POS_INF) == sturm_count(chain, -bound, bound)
 
 
+class TestFujiwaraBound:
+    def test_examples(self):
+        assert polyroot._fujiwara_bound(P([2, -6, 2])) == 8
+        assert polyroot._fujiwara_bound(P([-2, 0, 1])) == 4
+        assert polyroot._fujiwara_bound(P([0, 1])) == 1
+        assert polyroot._fujiwara_bound(P([-1, 1024])) == Fraction(1, 256)
+
+    def test_power_of_two_with_roots_strictly_inside(self):
+        # Degrees 1..9, coefficients up to 10^12, a third of the lower ones
+        # zero, leads of either sign; sympy counts the distinct real roots.
+        rng = SplitMix64(1916)
+        u = sympy.Symbol("u")
+        seen = set()
+        for _ in range(300):
+            degree = rng.in_range(1, 9)
+            coeffs = [0 if rng.below(3) == 0 else rng.in_range(-(10 ** rng.in_range(0, 12)), 10 ** rng.in_range(0, 12))
+                      for _ in range(degree)]
+            coeffs.append(rng.in_range(1, 10 ** rng.in_range(0, 6)) * (-1 if rng.below(2) else 1))
+            p = P(coeffs)
+            bound = polyroot._fujiwara_bound(p)
+            assert 1 in (bound.numerator, bound.denominator)
+            assert bound.numerator & (bound.numerator - 1) == 0 and bound.denominator & (bound.denominator - 1) == 0
+            poly = sympy.Poly(list(reversed(p.coeffs)), u).sqf_part()
+            b = sympy.Rational(bound.numerator, bound.denominator)
+            inside = poly.count_roots(-b, b) - (poly.eval(-b) == 0) - (poly.eval(b) == 0)
+            assert inside == poly.count_roots(), p
+            seen.update({
+                "negative lead" if p.coeffs[-1] < 0 else "positive lead",
+                "degree 1" if p.degree == 1 else "degree > 1",
+                "c_0 = 0" if p.coeffs[0] == 0 else "c_0 != 0",
+                "zero inner coefficient" if 0 in p.coeffs[1:-1] else "no zero inner coefficient",
+                "B < 1" if bound < 1 else "B >= 1",
+            })
+        assert len(seen) == 10
+
+
 def _reference_candidates(p: IntPolynomial) -> tuple[Fraction, ...]:
     """The plain enumeration: a Fraction set of +-r/s over both divisor
     lists, sorted descending."""
@@ -315,6 +351,12 @@ class TestRationalRoots:
         # the cofactor that rho leaves beside 1009.
         with pytest.raises(InputError, match=r"cofactor of 84 bits prime; .* below 3317044064679887385961981$"):
             polyroot._divisors(m)
+
+    def test_rho_budget(self):
+        # A product of two 15-digit primes takes rho about 15 million
+        # squarings; it is refused once the 2^21 of the budget are spent.
+        with pytest.raises(InputError, match=r"^divisor trace: cannot split a composite cofactor of 94 bits within 2097152 squarings"):
+            polyroot._divisors(11000000000010510000000002201)
 
     def test_candidates_against_fraction_set(self):
         # Degrees 1..9 with up to two zero roots, constants up to 10^12 and
@@ -489,6 +531,79 @@ class TestSympyOracle:
                 assert sturm_count(chain, lo, hi) == expected
 
 
+def _heavy_surface(digits: int, rational: bool) -> IntersectionProfile:
+    """A surface profile with entries of about ``digits`` digits, seeded by
+    ``digits``.  A rational one has ``chi = (a u - b) (c u - d)`` with
+    positive factors of half as many digits, whose roots ``b/a`` and ``d/c``
+    are rational; otherwise the entries are drawn, ``M^2`` of either sign,
+    to the index inequality."""
+    rng = SplitMix64(digits)
+
+    def draw(k):
+        return int(str(rng.in_range(1, 9)) + "".join(str(rng.below(10)) for _ in range(k - 1)))
+
+    while True:
+        if rational:
+            a, b, c, d = (draw(digits // 2) for _ in range(4))
+            if (a * d + b * c) % 2 == 0:
+                return IntersectionProfile(2, (b * d, (a * d + b * c) // 2, a * c))
+        else:
+            l2, lm, m2 = draw(digits), draw(digits), draw(digits) * (-1 if rng.below(2) else 1)
+            if lm * lm >= l2 * m2:
+                return IntersectionProfile(2, (m2, lm, l2))
+
+
+class TestHeavyInputs:
+    """Inputs that took the Cauchy start and bisection from 6 ms to seconds:
+    verdict, p/q, isolation and widths against sympy."""
+
+    @pytest.mark.parametrize(
+        "kind,size,rational",
+        [("product-matrix", n, None) for n in (16, 24, 32)]
+        + [("surface", digits, rational) for digits in (100, 1000, 4000) for rational in (False, True)],
+        ids=lambda x: str(x),
+    )
+    def test_against_sympy(self, kind, size, rational):
+        if kind == "surface":
+            profile = _heavy_surface(size, rational)
+        else:
+            profile = profile_from_matrix(gen_random(GenSpec(kind, seed=1, count=1, n=size))[0])
+        chi = chi_polynomial(profile)
+        h = sympy.Poly(list(reversed(squarefree_part(chi).coeffs)), sympy.Symbol("u"), domain=sympy.QQ)
+        result = slope(profile)
+        top = max(h.ground_roots(), default=None)
+        if top is not None and h.count_roots(top, None) == 1:
+            top = Fraction(int(top.p), int(top.q))
+            assert isolate_max_root(chi).exact == top
+            assert not result.infinite and result.slope_fraction == 1 / top
+            assert rational in (True, None)
+            return
+        assert rational in (False, None) and result.slope_fraction is None
+        assert not result.infinite, "every heavy input has a positive maximal root"
+        # One sympy Sturm sequence counts the roots at every end: count_roots
+        # would rebuild it each time, about 2 s at n = 32.
+        chain = sympy.sturm(h)
+
+        def variations(x):
+            signs = [q.eval(x) if x is not None else q.LC() for q in chain]
+            signs = [v > 0 for v in signs if v != 0]
+            return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+        def check(a: AlgebraicNumber, width: Fraction):
+            lo, hi = a.interval
+            assert a.exact is None and hi - lo <= width
+            slo, shi = (sympy.Rational(x.numerator, x.denominator) for x in (lo, hi))
+            assert h.eval(shi) != 0
+            assert variations(slo) - variations(shi) == 1 and variations(shi) == variations(None)
+
+        root = isolate_max_root(chi)
+        check(root, Fraction(1, 2 * int(h.LC()) ** 2))
+        shown = result.refined(Fraction(1, 2**64)).max_root
+        check(shown, Fraction(1, 2**64) * min(1, shown.interval[0] ** 2))
+        if kind == "surface":
+            check(refine(root, Fraction(1, 2**4096)), Fraction(1, 2**4096))
+
+
 class TestRefine:
     def test_width_target(self):
         root = isolate_max_root(P([2, -6, 2]))
@@ -560,6 +675,64 @@ class TestRefine:
         prod_lo = a.interval[0] * b.interval[0]
         prod_hi = a.interval[1] * b.interval[1]
         assert prod_lo < 1 < prod_hi
+
+
+    def test_qir_evaluation_count(self, monkeypatch):
+        # A 12-digit surface root narrowed from 1/(2 D^2), about 2^-81, to
+        # 2^-4096: bisection takes one evaluation per bit, about 4000; QIR
+        # takes 24, one at each end and one or two per grid.
+        root = slope(IntersectionProfile(2, (-734951204873, 285714285714, 999999999989))).max_root
+        assert root.exact is None
+        with monkeypatch.context() as m:
+            m.setattr(polyroot, "_scaled_value", _recording(polyroot._scaled_value, 32))
+            tight = refine(root, Fraction(1, 2**4096))
+        lo, hi = tight.interval
+        assert hi - lo <= Fraction(1, 2**4096)
+        assert root.interval[0] <= lo < hi <= root.interval[1]
+        assert sturm_count(sturm_chain(tight.minpoly_factor), lo, hi) == 1
+
+    def test_qir_with_root_at_lower_end(self):
+        # (u - 1) (u^2 - 3) on (1, 2]: the excluded end 1 is a root, whose
+        # zero value only steers the first secant guess.
+        p = squarefree_part(_mul(P([-1, 1]), P([-3, 0, 1])))
+        tight = refine(AlgebraicNumber(p, (Fraction(1), Fraction(2))), Fraction(1, 2**300))
+        lo, hi = tight.interval
+        assert tight.exact is None and hi - lo <= Fraction(1, 2**300)
+        assert in_interval_surd(lo, hi, Fraction(0), Fraction(1), 3)
+
+    @pytest.mark.parametrize(
+        "coeffs,root", [([-5, 8], Fraction(5, 8)), ([-(2**80 + 1), 2**80], 1 + Fraction(1, 2**80)), ([-1, 3], None)]
+    )
+    def test_qir_grid_point_root_is_exact(self, coeffs, root):
+        # A dyadic root is a grid point, which QIR evaluates and returns
+        # exact; 1/3 is none and keeps a narrowed interval.
+        tight = refine(AlgebraicNumber(P(coeffs), (Fraction(0), Fraction(2))), Fraction(1, 2**100))
+        if root is not None:
+            assert tight.exact == root
+        else:
+            lo, hi = tight.interval
+            assert tight.exact is None and lo < Fraction(1, 3) <= hi and hi - lo <= Fraction(1, 2**100)
+
+    def test_qir_against_sympy(self):
+        # Seeded maximal roots narrowed to 2^-200, which runs QIR: each
+        # interval holds exactly one root of the square-free part, with none
+        # above it.
+        u = sympy.Symbol("u")
+        narrowed = 0
+        for p in _seeded_polynomials(4441, 300):
+            if p.degree < 1 or (root := isolate_max_root(p)) is None or root.exact is not None:
+                continue
+            tight = refine(root, Fraction(1, 2**200))
+            h = sympy.Poly(list(reversed(tight.minpoly_factor.coeffs)), u)
+            if tight.exact is not None:
+                assert h.eval(sympy.Rational(tight.exact.numerator, tight.exact.denominator)) == 0
+                continue
+            lo, hi = (sympy.Rational(x.numerator, x.denominator) for x in tight.interval)
+            assert tight.interval[1] - tight.interval[0] <= Fraction(1, 2**200)
+            assert h.count_roots(lo, hi) - (h.eval(lo) == 0) == 1
+            assert h.eval(hi) != 0 and h.count_roots(hi, None) == 0
+            narrowed += 1
+        assert narrowed >= 50
 
 
 class _FractionBisection:

@@ -211,6 +211,17 @@ class TestCertify:
             result.rationality.trace.rows
         assert [e.verdict for e in scan([("prime", profile)]).entries] == [IRRATIONAL]
 
+    def test_rho_budget_refuses_only_the_trace(self):
+        # M^2 is a product of two 15-digit primes, past the squaring budget
+        # of rho: reading the trace raises, while the threshold and a scan
+        # are unaffected.
+        profile = surface(11000000000010510000000002201, 10**16, 2)
+        result = slope(profile)
+        assert not result.infinite and isinstance(result.rationality, IrrationalSlope)
+        with pytest.raises(InputError, match="cofactor of 94 bits within 2097152 squarings"):
+            result.rationality.trace.rows
+        assert [e.verdict for e in scan([("two primes", profile)]).entries] == [IRRATIONAL]
+
     def test_proportional_pair(self):
         cert = certify_rationality(surface(8, 4, 2))
         assert (cert.p, cert.q) == (1, 2)
