@@ -9,7 +9,6 @@ level.
 
 from .errors import (
     AsymmetricInput,
-    DegenerateInput,
     HodgeViolation,
     InconsistentContext,
     InputError,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraicNumber",
     "AsymmetricInput",
-    "DegenerateInput",
     "HodgeViolation",
     "InconsistentContext",
     "InputError",

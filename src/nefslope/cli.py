@@ -216,8 +216,8 @@ def _parse_width(flag: str | None) -> Fraction:
     width = parse_rational(text, "width") if text else DEFAULT_WIDTH
     if width <= 0:
         raise InputError("width: must be positive")
-    # Each halving of an irrational root's interval costs one exact
-    # evaluation, so the width bounds the work of display refinement.
+    # Refinement keeps an irrational root's ends over one denominator of
+    # about log2(1/width) bits, so the floor bounds those integers.
     if width < MIN_WIDTH:
         raise InputError("width: must be at least the floor 2^-4096")
     return width

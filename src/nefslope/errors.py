@@ -22,10 +22,6 @@ class NonIntegralProfile(PreconditionError):
     """The matrix does not model an integral bundle against the given top self-intersection."""
 
 
-class DegenerateInput(PreconditionError):
-    """The numeric polynomial of the pair is constant; no threshold is defined."""
-
-
 class NegationIsNef(PreconditionError):
     """The negated bundle is nef, so the threshold is infinite and no lower bound applies."""
 

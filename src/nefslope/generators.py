@@ -22,7 +22,7 @@ from math import factorial
 from typing import Sequence
 
 from .errors import HodgeViolation, InputError
-from .numdata import IntersectionProfile, SymMatrixModel, require_model
+from .numdata import IntersectionProfile, SymMatrixModel
 
 _INCREMENT = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -82,9 +82,7 @@ class GenSpec:
 
 def gen_product(n: int, entries: Sequence[Sequence[int]]) -> SymMatrixModel:
     """Matrix model on an n-fold elliptic product; ``L^n = n!``."""
-    model = SymMatrixModel(n, entries, factorial(n))
-    require_model(model)
-    return model
+    return SymMatrixModel(n, entries, factorial(n))
 
 
 def gen_surface(l2: int, lm: int, m2: int) -> IntersectionProfile:

@@ -11,7 +11,9 @@ integer matrix.
 
 Profiles are passive records: arbitrary integer vectors are accepted as
 first-class inputs, and realizability checks are opt-in through
-:func:`validate` at increasing :class:`ValidationLevel` strictness.
+:func:`validate` at increasing :class:`ValidationLevel` strictness.  A
+:class:`SymMatrixModel`, by contrast, rejects an ill-formed model when it is
+built, so no consumer checks one again.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ class SymMatrixModel:
 
     ``entries`` is the matrix of the endomorphism attached to the bundle;
     ``top_l`` is the value of ``L^n`` (``n!`` for the product principal
-    polarization, scalable for scaled polarizations).
+    polarization, scalable for scaled polarizations).  Construction raises
+    unless ``n`` and ``L^n`` are positive integers and ``F`` is a symmetric
+    n x n matrix (:class:`AsymmetricInput`, naming the field).
     """
 
     n: int
@@ -73,8 +77,22 @@ class SymMatrixModel:
     top_l: int
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+        f = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
+        object.__setattr__(self, "entries", f)
+        n = self.n
+        if not _is_plain_int(n) or n < 1:
+            raise InputError(f"matrix model dimension must be a positive integer, got {n!r}")
+        if len(f) != n or any(len(row) != n for row in f):
+            raise AsymmetricInput(f"F: expected a {n}x{n} matrix")
+        for i in range(n):
+            for j in range(i):
+                if f[i][j] != f[j][i]:
+                    raise AsymmetricInput(
+                        f"F[{i}][{j}]: {format_rational(f[i][j])} differs from "
+                        f"F[{j}][{i}] = {format_rational(f[j][i])}; the matrix must be symmetric"
+                    )
+        if not _is_plain_int(self.top_l) or self.top_l <= 0:
+            raise InputError(f"L^n must be a positive integer, got {self.top_l!r}")
 
     def to_json(self) -> dict:
         return {
@@ -220,26 +238,6 @@ def charpoly(entries: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
     return tuple(Fraction(ck, d ** (len(c) - 1 - k)) for k, ck in enumerate(c))
 
 
-def require_model(m: SymMatrixModel) -> None:
-    """Raise unless ``m`` is a well-formed model: a positive dimension, a
-    symmetric n x n matrix (:class:`AsymmetricInput`, naming the field) and
-    a positive ``L^n``."""
-    if not _is_plain_int(m.n) or m.n < 1:
-        raise InputError(f"matrix model dimension must be a positive integer, got {m.n!r}")
-    f = m.entries
-    if len(f) != m.n or any(len(row) != m.n for row in f):
-        raise AsymmetricInput(f"F: expected a {m.n}x{m.n} matrix")
-    for i in range(m.n):
-        for j in range(i):
-            if f[i][j] != f[j][i]:
-                raise AsymmetricInput(
-                    f"F[{i}][{j}]: {format_rational(f[i][j])} differs from "
-                    f"F[{j}][{i}] = {format_rational(f[j][i])}; the matrix must be symmetric"
-                )
-    if not _is_plain_int(m.top_l) or m.top_l <= 0:
-        raise InputError(f"L^n must be a positive integer, got {m.top_l!r}")
-
-
 def profile_from_matrix(m: SymMatrixModel) -> IntersectionProfile:
     """Intersection profile of the modelled pair.
 
@@ -249,7 +247,6 @@ def profile_from_matrix(m: SymMatrixModel) -> IntersectionProfile:
     Non-integral entries mean the matrix does not model an integral bundle
     against this ``L^n`` and are an error, never rounded.
     """
-    require_model(m)
     d, c = _berkowitz(m.entries)
     v = []
     for k, ck in enumerate(c):

@@ -40,6 +40,7 @@ field is set; no numeric equality test against rationals is ever needed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -90,7 +91,7 @@ class IntPolynomial:
                 if c.denominator != 1:
                     raise ValueError(f"non-integral coefficient {c}")
                 c = c.numerator
-            out.append(int(c))
+            out.append(operator.index(c))
         while out and out[-1] == 0:
             out.pop()
         return cls(tuple(out))
@@ -155,18 +156,18 @@ def _scaled_value(p: IntPolynomial, a: int, b: int) -> int:
 
 
 def _primitive(coeffs: Iterable[int], positive_lead: bool = False) -> IntPolynomial:
-    """Divide out the content, a positive factor that leaves every sign intact.
+    """Strip trailing zeros and divide out the content, a positive factor that leaves every sign intact.
 
     ``positive_lead`` additionally flips the global sign to make the leading
     coefficient positive.
     """
-    p = IntPolynomial.of(coeffs)
-    if p.is_zero:
-        return p
-    content = gcd(*p.coeffs)
-    if positive_lead and p.coeffs[-1] < 0:
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    content = gcd(*c)
+    if positive_lead and c and c[-1] < 0:
         content = -content
-    return IntPolynomial(tuple(c // content for c in p.coeffs))
+    return IntPolynomial(tuple(x // content for x in c))
 
 
 def _prem(a: IntPolynomial, b: IntPolynomial) -> list[int]:
@@ -629,9 +630,11 @@ def compare_with_rational(a: AlgebraicNumber, value: Fraction | int) -> int:
 def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:
     """The reciprocal, via coefficient reversal of the defining polynomial."""
     # Inversion maps (lo, hi] onto [1/hi, 1/lo), read as (1/hi, 1/lo]; so
-    # lo must not be a root, and an interval that already holds the guard
-    # inverts without bisection.
+    # lo must not be a root, an interval that already holds the guard
+    # inverts without bisection, and a root at hi is the number, exactly.
     a = clear_lower_end(a)
+    if a.exact is None and _scaled_value(a.minpoly_factor, *_point(a.interval[1])) == 0:
+        a = AlgebraicNumber.from_rational(a.interval[1])
     if a.exact is not None:
         if a.exact == 0:
             raise ZeroDivisionError("reciprocal of zero")

@@ -17,7 +17,7 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import InconsistentContext, InputError
-from .exactio import format_rational
+from .exactio import describe_int, format_rational
 from .numdata import (
     IntersectionProfile,
     SymMatrixModel,
@@ -25,7 +25,6 @@ from .numdata import (
     binary_profile,
     is_proportional,
     profile_from_matrix,
-    require_model,
     require_valid,
 )
 from .slope import (
@@ -178,7 +177,7 @@ def scan(
     if top_l is not None:
         tops.add(top_l)
     if len(tops) > 1:
-        raise InconsistentContext(f"instances disagree on L^n: {sorted(tops)}")
+        raise InconsistentContext(f"instances disagree on L^n: [{', '.join(map(describe_int, sorted(tops)))}]")
     entries = tuple(_scan_one(label, profile) for label, profile in items)
     overall = WITNESS_FOUND if any(e.verdict == WITNESS for e in entries) else CONSISTENT
     return SimplicityScan(entries, overall)
@@ -189,8 +188,8 @@ def scan(
 
 def boundary_endomorphism(m: SymMatrixModel, slope_value: Fraction) -> tuple[tuple[Fraction, ...], ...]:
     """The matrix ``q I - p F`` attached to the boundary class for threshold p/q;
-    :class:`AsymmetricInput` unless ``F`` is a symmetric n x n matrix."""
-    require_model(m)
+    symmetric, since the :class:`SymMatrixModel` constructor admits only a
+    symmetric n x n ``F``."""
     value = Fraction(slope_value)
     p, q = value.numerator, value.denominator
     f = m.entries

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegenerateInput, NegationIsNef, SlopeIsInfinite
+from .errors import NegationIsNef, SlopeIsInfinite
 from .exactio import format_int, format_ratio
 from .numdata import IntersectionProfile, binary_profile, require_valid
 from .polyroot import (
@@ -199,8 +199,6 @@ def slope(profile: IntersectionProfile) -> SlopeResult:
     """
     require_valid(profile)
     chi = chi_polynomial(profile)
-    if chi.degree < 1:
-        raise DegenerateInput("profile polynomial is constant")
     best = isolate_max_root(chi)
     if best is None or compare_with_rational(best, 0) <= 0:
         return SlopeResult(None, None)

@@ -61,9 +61,8 @@ class TestProfileFromMatrix:
         assert str(exc.value) == "entry k=0 is not an integer: its denominator has 2 bits (L^n = 1)"
 
     def test_asymmetric_rejected(self):
-        m = SymMatrixModel(2, frac_rows([[0, 1], [0, 0]]), 2)
         with pytest.raises(InputError):
-            profile_from_matrix(m)
+            SymMatrixModel(2, frac_rows([[0, 1], [0, 0]]), 2)
 
     def test_chi_identity_on_random_integer_matrices(self):
         rng = SplitMix64(42)

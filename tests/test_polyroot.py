@@ -60,6 +60,16 @@ class TestIntPolynomial:
         with pytest.raises(ValueError):
             P([Fraction(1, 2)])
 
+    @pytest.mark.parametrize("coeffs", [[1.5, 2], ["3"]], ids=["float", "string"])
+    def test_of_rejects_non_integer_types(self, coeffs):
+        with pytest.raises(TypeError):
+            P(coeffs)
+
+    def test_of_accepts_integer_types(self):
+        (c,) = P([np.int64(3)]).coeffs
+        assert type(c) is int and c == 3
+        assert P([Fraction(4, 2)]).coeffs == (2,)
+
     def test_evaluation_exact(self):
         p = P([2, -6, 2])
         assert p(Fraction(1, 2)) == Fraction(-1, 2)
@@ -667,6 +677,20 @@ class TestRefine:
         assert sturm_count(sturm_chain(inv.minpoly_factor), lo, hi) == 1
         assert lo * lo < Fraction(1, 3) < hi * hi
 
+    @pytest.mark.parametrize(
+        "p, interval, expected",
+        [
+            (P([-1, 1]), (Fraction(1, 2), Fraction(1)), Fraction(1)),
+            (P([2, -3, 1]), (Fraction(3, 2), Fraction(2)), Fraction(1, 2)),
+        ],
+        ids=["u-1", "(u-1)(u-2)"],
+    )
+    def test_reciprocal_with_root_at_upper_end(self, p, interval, expected):
+        # A root at hi is the number itself: lo clears 0 and is no root, so
+        # no bisection runs, and the inverted interval (1/hi, 1/lo] would
+        # leave out 1/hi.
+        assert reciprocal(AlgebraicNumber(p, interval)).exact == expected
+
     def test_reciprocal_brackets_one(self):
         root = isolate_max_root(P([2, -6, 2]))
         inv = reciprocal(root)
@@ -804,6 +828,8 @@ class _FractionBisection:
 
     def reciprocal(self, a: AlgebraicNumber) -> AlgebraicNumber:
         a = self.clear_lower_end(a)
+        if a.exact is None and self.sign(a.minpoly_factor, a.interval[1]) == 0:
+            a = AlgebraicNumber.from_rational(a.interval[1])
         if a.exact is not None:
             return AlgebraicNumber.from_rational(1 / a.exact)
         lo, hi = a.interval
