@@ -40,12 +40,6 @@ from .polyroot import (
     refine,
     sturm_chain,
 )
-from .simplicity import (
-    NormClassSpec,
-    kernel_rank,
-    norm_class,
-    scan,
-)
 from .slope import (
     IrrationalSlope,
     RationalSlope,
@@ -102,3 +96,10 @@ __all__ = [
     "sturm_chain",
     "validate",
 ]
+
+
+def __getattr__(name):  # ``simplicity`` loads on first use, not at CLI start-up
+    if name in ("NormClassSpec", "kernel_rank", "norm_class", "scan"):
+        from . import simplicity
+        return getattr(simplicity, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import generators, simplicity
 from .errors import InputError, NefslopeError, PreconditionError
 from .exactio import format_rational, json_int, parse_rational
 from .numdata import (
@@ -34,6 +33,8 @@ EXIT_OK = 0
 EXIT_WITNESS = 10
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
+
+GEN_KINDS = ("surface", "product-matrix", "rational-matrix")  # generators.KINDS, not imported at start-up
 
 #: Narrowest accepted display width (``--width`` / ``NEFSLOPE_WIDTH``).
 MIN_WIDTH = Fraction(1, 2**4096)
@@ -139,6 +140,7 @@ def _cmd_scan(args):
         items.append((label, _load_profile(entry, args.level)))
     for _, profile in items:  # echoed in the result: what cannot be written fails before root work
         profile.to_json()
+    from . import simplicity
     result = simplicity.scan(items, jobs=args.jobs)
     witnesses = sum(1 for e in result.entries if e.verdict == simplicity.WITNESS)
     summary = f"scan: {result.overall} ({witnesses} witness(es), {len(items)} instance(s))"
@@ -146,6 +148,7 @@ def _cmd_scan(args):
 
 
 def _cmd_gen(args):
+    from . import generators
     spec = generators.GenSpec(kind=args.kind, seed=args.seed, count=args.count, n=args.n, bound=args.bound)
     out = []
     for idx, inst in enumerate(generators.gen_random(spec)):
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit seeded instance JSON arrays")
     p.add_argument("--output", default=None, help="write the JSON payload to this path instead of stdout")
-    p.add_argument("--kind", choices=generators.KINDS, required=True)
+    p.add_argument("--kind", choices=GEN_KINDS, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--n", type=int, default=2, help="dimension for matrix kinds")

@@ -6,8 +6,8 @@ Non-simple varieties are modelled concretely on products of elliptic curves
 with the product principal polarization: a symmetric rational matrix plays
 the role of the endomorphism attached to ``M``, the top self-intersection of
 ``L`` defaults to ``n!``, and the profile is read off the characteristic
-polynomial of the matrix, computed by Berkowitz on the denominator-cleared
-integer matrix.
+polynomial of the matrix, from one Berkowitz kernel on the denominator-cleared
+integer matrix, general because :func:`charpoly` takes any square matrix.
 
 Profiles are passive records: arbitrary integer vectors are accepted as
 first-class inputs, and realizability checks are opt-in through
@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import AsymmetricInput, InputError, NonIntegralProfile
@@ -211,7 +212,10 @@ def require_valid(p: IntersectionProfile) -> None:
 def _berkowitz(entries: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[int]]:
     """``D``, the lcm of the entries' denominators, and the coefficients of
     ``det(u I - D F)``, ascending, by the division-free Berkowitz recurrence
-    on the integer matrix ``D F``."""
+    on the integer matrix ``D F``.  ``F`` may be any square matrix, as
+    :func:`charpoly` allows, so this one general kernel serves every caller.
+    Bordering the r x r block costs r - 1 matrix-vector products; ``map``
+    stops at its shorter argument, so the square check comes first."""
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise InputError("matrix must be square")
@@ -222,12 +226,14 @@ def _berkowitz(entries: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[i
     # (1, -a_rr, -R C, -R A_r C, ..., -R A_r^(r-1) C).
     c = [1]
     for r in range(n):
-        col = [a[i][r] for i in range(r)]
+        block = a[:r]
+        col = [row[r] for row in block]
         t = [1, -a[r][r]]
-        for _ in range(r):
-            t.append(-sum(x * y for x, y in zip(a[r], col)))
-            col = [sum(x * y for x, y in zip(a[i], col)) for i in range(r)]
-        c = [sum(t[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+        for k in range(r):
+            if k:
+                col = [sum(map(mul, row, col)) for row in block]
+            t.append(-sum(map(mul, a[r], col)))
+        c = [sum(map(mul, t[i::-1], c)) for i in range(r + 2)]
     return d, c[::-1]
 
 

@@ -202,6 +202,20 @@ class TestGenCommand:
         code, payload, _ = run(capsys, ["scan", "--input", str(path)])
         assert code == 10
 
+    def test_kinds_match_generators(self):
+        # The parser spells the kinds out so that start-up does not import generators.
+        from nefslope import generators
+
+        assert nefslope.cli.GEN_KINDS == generators.KINDS
+
+    def test_unknown_kind(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--kind", "torus", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'torus' (choose from 'surface', 'product-matrix', 'rational-matrix')" in (
+            capsys.readouterr().err
+        )
+
 
 class TestErrorHandling:
     def test_malformed_json(self, capsys):
@@ -354,8 +368,8 @@ CLI_IMPORTS = frozenset("""
     dataclasses decimal dis enum fractions functools genericpath gettext importlib
     importlib._bootstrap importlib._bootstrap_external importlib.machinery inspect itertools json
     json.decoder json.encoder json.scanner keyword linecache math nefslope nefslope.cli
-    nefslope.errors nefslope.exactio nefslope.generators nefslope.numdata nefslope.polyroot
-    nefslope.simplicity nefslope.slope numbers opcode operator os os.path posixpath re re._casefix
+    nefslope.errors nefslope.exactio nefslope.numdata nefslope.polyroot nefslope.slope numbers
+    opcode operator os os.path posixpath re re._casefix
     re._compiler re._constants re._parser reprlib stat token tokenize types typing typing.io
     typing.re warnings weakref
 """.split())
@@ -369,3 +383,19 @@ def test_cli_adds_no_imports():
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert "nefslope.cli" in done.stdout.split()
     assert set(done.stdout.split()) - CLI_IMPORTS == set()
+
+
+def test_cli_start_up_skips_scan_and_gen_modules():
+    # simplicity and generators load when scan or gen runs; the slope names stay eager, so the
+    # package's ``slope`` is the function, not the submodule, before and after a lazy name loads.
+    code = (
+        "import sys, nefslope.cli; print(*sorted(m for m in sys.modules if m.startswith('nefslope.'))); "
+        "print(nefslope.slope.__name__, type(nefslope.slope).__name__); nefslope.scan; "
+        "print(nefslope.slope.__name__, type(nefslope.slope).__name__, 'nefslope.simplicity' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nefslope.cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    modules, before, after = done.stdout.splitlines()
+    assert modules.split() == ["nefslope.cli", "nefslope.errors", "nefslope.exactio", "nefslope.numdata",
+                               "nefslope.polyroot", "nefslope.slope"]
+    assert (before, after) == ("slope function", "slope function True")

@@ -1,6 +1,7 @@
 """Tests for profiles, the matrix model and validation levels."""
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -26,6 +27,13 @@ from nefslope.slope import is_nef
 
 def frac_rows(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def sympy_charpoly(rows) -> tuple[Fraction, ...]:
+    """Ascending coefficients of ``det(u I - F)`` by sympy."""
+    n = len(rows)
+    matrix = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row])
+    return tuple(Fraction(int(c.p), int(c.q)) for c in matrix.charpoly().all_coeffs()[::-1])
 
 
 def random_symmetric(rng: SplitMix64, n: int, bound: int) -> list[list[int]]:
@@ -66,8 +74,8 @@ class TestProfileFromMatrix:
 
     def test_chi_identity_on_random_integer_matrices(self):
         rng = SplitMix64(42)
-        for _ in range(120):
-            n = rng.in_range(1, 5)
+        for index in range(122):
+            n = rng.in_range(1, 5) if index < 120 else 16
             m = gen_product(n, random_symmetric(rng, n, 6))
             profile = profile_from_matrix(m)
             cp = charpoly(m.entries)
@@ -105,8 +113,10 @@ class TestCharpoly:
         assert charpoly(()) == (Fraction(1),)
 
     def test_ragged_rejected(self):
-        with pytest.raises(InputError):
-            charpoly(frac_rows([[1, 2], [2]]))
+        # The inner products stop at the shorter row, so the square check must come first.
+        for rows in ([[1, 2], [2]], [[1], [2, 3]], [[1, 2], [3, 4, 5]]):
+            with pytest.raises(InputError, match="matrix must be square"):
+                charpoly(frac_rows(rows))
 
     def test_against_sympy(self):
         # Symmetric and general rational matrices, n = 0..10, denominators up to 12
@@ -118,9 +128,24 @@ class TestCharpoly:
             ]
             if index % 2:
                 rows = [[rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
-            matrix = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row])
-            coeffs = matrix.charpoly().all_coeffs()[::-1]
-            assert charpoly(frac_rows(rows)) == tuple(Fraction(int(c.p), int(c.q)) for c in coeffs)
+            assert charpoly(frac_rows(rows)) == sympy_charpoly(rows)
+
+    def test_against_sympy_past_ten(self):
+        # n = 11..16, general and symmetric, numerators up to 2^64, denominators up
+        # to 12, zero leading blocks of 0, 3 and 10 rows and columns; and 1 x 1 matrices.
+        rng = SplitMix64(2718)
+        cases = [[[Fraction(x)]] for x in (0, -7, 2**64)]
+        for zeros, bound, symmetric, n in product((0, 3, 10), (20, 2**64), (False, True), range(11, 17)):
+            rows = [
+                [Fraction(rng.in_range(-bound, bound), rng.in_range(1, 12)) if min(i, j) >= zeros else Fraction(0)
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            if symmetric:
+                rows = [[rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+            cases.append(rows)
+        for rows in cases:
+            assert charpoly(frac_rows(rows)) == sympy_charpoly(rows)
 
 
 class TestIsProportional:
