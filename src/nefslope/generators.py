@@ -22,6 +22,7 @@ from math import factorial
 from typing import Sequence
 
 from .errors import HodgeViolation, InputError
+from .exactio import describe_int
 from .numdata import IntersectionProfile, SymMatrixModel
 
 _INCREMENT = 0x9E3779B97F4A7C15
@@ -87,11 +88,10 @@ def gen_product(n: int, entries: Sequence[Sequence[int]]) -> SymMatrixModel:
 
 def gen_surface(l2: int, lm: int, m2: int) -> IntersectionProfile:
     """Surface profile ``(M^2, L.M, L^2)``; rejects index-inequality violations."""
-    if l2 < 1:
-        raise InputError(f"L^2 must be positive, got {l2}")
+    profile = IntersectionProfile(2, (m2, lm, l2))
     if lm * lm < l2 * m2:
-        raise HodgeViolation(f"(L.M)^2 = {lm * lm} < L^2 M^2 = {l2 * m2}")
-    return IntersectionProfile(2, (m2, lm, l2))
+        raise HodgeViolation(f"(L.M)^2 = {describe_int(lm * lm)} < L^2 M^2 = {describe_int(l2 * m2)}")
+    return profile
 
 
 def _draw_surface(rng: SplitMix64, bound: int) -> IntersectionProfile:

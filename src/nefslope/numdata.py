@@ -9,11 +9,12 @@ the role of the endomorphism attached to ``M``, the top self-intersection of
 polynomial of the matrix, from one Berkowitz kernel on the denominator-cleared
 integer matrix, general because :func:`charpoly` takes any square matrix.
 
-Profiles are passive records: arbitrary integer vectors are accepted as
-first-class inputs, and realizability checks are opt-in through
-:func:`validate` at increasing :class:`ValidationLevel` strictness.  A
-:class:`SymMatrixModel`, by contrast, rejects an ill-formed model when it is
-built, so no consumer checks one again.
+Both records check their type invariants when they are built, so no
+consumer checks them again: an :class:`IntersectionProfile` is ``n + 1``
+integers with ``L^n > 0``, and a :class:`SymMatrixModel` is a symmetric
+``n x n`` matrix with a positive integer ``L^n``.  Beyond that, any integer
+vector is a first-class input; realizability checks stay opt-in through
+:func:`validate` at increasing :class:`ValidationLevel` strictness.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from .exactio import describe, describe_int, format_int, format_rational, parse_
 from .polyroot import NEG_INF, POS_INF, chi_polynomial, sturm_chain, sturm_count
 
 
+def _is_plain_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _array(value, field: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"{field}: expected a JSON array, got {value!r}")
@@ -38,13 +43,32 @@ def _array(value, field: str) -> list:
 
 @dataclass(frozen=True)
 class IntersectionProfile:
-    """The vector ``(L^k . M^(n-k))_{k=0..n}``, listed from k=0 upward."""
+    """The vector ``(L^k . M^(n-k))_{k=0..n}``, listed from k=0 upward.
+
+    Construction raises :class:`InputError`, naming the field, unless ``n``
+    is a positive integer and ``v`` is ``n + 1`` integers with ``L^n = v[n]``
+    positive, as for a polarization ``L``.
+    """
 
     n: int
     v: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(self.v))
+        n = self.n
+        try:
+            v = tuple(self.v)
+        except TypeError:
+            raise InputError(f"v: expected a sequence of integers, got {describe(self.v)}") from None
+        object.__setattr__(self, "v", v)
+        if not _is_plain_int(n) or n < 1:
+            raise InputError(f"n: must be a positive integer, got {describe(n)}")
+        if len(v) != n + 1:
+            raise InputError(f"v: expected n + 1 = {describe_int(n + 1)} entries, got {len(v)}")
+        for k, x in enumerate(v):
+            if not _is_plain_int(x):
+                raise InputError(f"v[{k}]: expected an integer, got {describe(x)}")
+        if v[n] <= 0:
+            raise InputError(f"v[{n}]: L^n must be positive, got {describe_int(v[n])}")
 
     def to_json(self) -> dict:
         return {"n": self.n, "v": [format_int(x) for x in self.v]}
@@ -55,10 +79,6 @@ class IntersectionProfile:
             raise InputError("profile JSON must be an object with 'n' and 'v'")
         n = parse_int(data["n"], "n")
         v = tuple(parse_int(x, f"v[{k}]") for k, x in enumerate(_array(data["v"], "v")))
-        if n < 1:
-            raise InputError(f"n: must be a positive integer, got {n}")
-        if len(v) != n + 1:
-            raise InputError(f"v: expected n + 1 = {n + 1} entries, got {len(v)}")
         return cls(n, v)
 
 
@@ -82,7 +102,7 @@ class SymMatrixModel:
         object.__setattr__(self, "entries", f)
         n = self.n
         if not _is_plain_int(n) or n < 1:
-            raise InputError(f"matrix model dimension must be a positive integer, got {n!r}")
+            raise InputError(f"matrix model dimension must be a positive integer, got {describe(n)}")
         if len(f) != n or any(len(row) != n for row in f):
             raise AsymmetricInput(f"F: expected a {n}x{n} matrix")
         for i in range(n):
@@ -93,7 +113,7 @@ class SymMatrixModel:
                         f"F[{j}][{i}] = {format_rational(f[j][i])}; the matrix must be symmetric"
                     )
         if not _is_plain_int(self.top_l) or self.top_l <= 0:
-            raise InputError(f"L^n must be a positive integer, got {self.top_l!r}")
+            raise InputError(f"L^n must be a positive integer, got {describe(self.top_l)}")
 
     def to_json(self) -> dict:
         return {
@@ -140,37 +160,17 @@ class ValidationReport:
         return not self.violations
 
 
-def _is_plain_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _syntactic_violations(p: IntersectionProfile) -> list[Violation]:
-    if not _is_plain_int(p.n) or p.n < 1:
-        return [Violation("dimension", f"n must be a positive integer, got {describe(p.n)}", (p.n,))]
-    if len(p.v) != p.n + 1:
-        message = f"expected {describe_int(p.n + 1)} entries, got {len(p.v)}"
-        return [Violation("profile-length", message, (len(p.v),))]
-    bad = [x for x in p.v if not _is_plain_int(x)]
-    if bad:
-        return [Violation("integrality", f"non-integer entries [{', '.join(map(describe, bad))}]", tuple(bad))]
-    if p.v[p.n] <= 0:
-        return [Violation("ample-top", f"L^n must be positive, got {describe_int(p.v[p.n])}", (p.v[p.n],))]
-    return []
-
-
 def validate(p: IntersectionProfile, level: ValidationLevel) -> ValidationReport:
     """Check a profile at the requested strictness; never raises.
 
-    SYNTACTIC checks the type invariants.  SPECTRAL additionally requires the
-    profile polynomial to be real-rooted, as holds for every profile arising
-    from a symmetric matrix model; multiplicity does not matter, so the test
-    is that the Sturm count of the square-free part equals its degree.
-    SURFACE_HODGE additionally requires, on surfaces, the index inequality
-    ``(L.M)^2 >= L^2 M^2``.
+    SYNTACTIC adds nothing to the type invariants, which construction has
+    already checked.  SPECTRAL requires the profile polynomial to be
+    real-rooted, as holds for every profile arising from a symmetric matrix
+    model; multiplicity does not matter, so the test is that the Sturm count
+    of the square-free part equals its degree.  SURFACE_HODGE additionally
+    requires, on surfaces, the index inequality ``(L.M)^2 >= L^2 M^2``.
     """
-    violations = _syntactic_violations(p)
-    if violations:
-        return ValidationReport(level, tuple(violations))
+    violations = []
     if level >= ValidationLevel.SPECTRAL:
         chain = sturm_chain(chi_polynomial(p))
         h = chain.polys[0]
@@ -197,13 +197,6 @@ def validate(p: IntersectionProfile, level: ValidationLevel) -> ValidationReport
                 )
             )
     return ValidationReport(level, tuple(violations))
-
-
-def require_valid(p: IntersectionProfile) -> None:
-    """Raise on profiles that fail the syntactic invariants."""
-    report = validate(p, ValidationLevel.SYNTACTIC)
-    if not report.ok:
-        raise InputError("; ".join(v.message for v in report.violations))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +232,12 @@ def _berkowitz(entries: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[i
 
 def charpoly(entries: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
     """Coefficients of ``det(u I - F)``, ascending: ``c_k / D^(n-k)`` for the
-    integers ``D`` and ``c_k`` of :func:`_berkowitz`."""
+    integers ``D`` and ``c_k`` of :func:`_berkowitz`.  Every entry must be an
+    ``int`` or a ``Fraction``; any other raises :class:`InputError` naming it."""
+    for i, row in enumerate(entries):
+        for j, x in enumerate(row):
+            if not _is_plain_int(x) and not isinstance(x, Fraction):
+                raise InputError(f"F[{i}][{j}]: expected an integer or a Fraction, got {describe(x)}")
     d, c = _berkowitz(entries)
     return tuple(Fraction(ck, d ** (len(c) - 1 - k)) for k, ck in enumerate(c))
 
@@ -278,7 +276,6 @@ def is_proportional(p: IntersectionProfile) -> Fraction | None:
     Such a t forces ``v[k] = t^(n-k) v[n]`` for every k, so it is determined
     by the last two entries and then verified against the whole profile.
     """
-    require_valid(p)
     t = Fraction(p.v[p.n - 1], p.v[p.n])
     for k in range(p.n + 1):
         if p.v[k] != t ** (p.n - k) * p.v[p.n]:
@@ -287,8 +284,8 @@ def is_proportional(p: IntersectionProfile) -> Fraction | None:
 
 
 def binary_profile(p: IntersectionProfile, a: int, b: int) -> IntersectionProfile:
-    """Profile of ``B = aL + bM`` against ``L``, expanded by the binomial theorem."""
-    require_valid(p)
+    """Profile of ``B = aL + bM`` against ``L``, expanded by the binomial theorem;
+    ``B``'s entry ``v[n]`` is ``L^n`` again, so the result is a valid profile."""
     if not _is_plain_int(a) or not _is_plain_int(b):
         raise InputError("coefficients of the bundle combination must be integers")
     n, v = p.n, p.v

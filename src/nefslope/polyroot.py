@@ -12,9 +12,9 @@ integer Horner at a point ``(a : b)``, ``b >= 0``, with +-infinity as
   nef threshold;
 * Sturm chains of the square-free part ``p / gcd(p, p')``, on which every
   root question is asked: one signed PRS of ``p`` and ``p'`` gives the gcd
-  and, for square-free ``p``, the chain; ``squarefree_part`` reads the part
-  off the chain.  ``sturm_count`` counts roots on half-open intervals
-  ``(lo, hi]``, with ``lo``/``hi`` rationals or +-infinity;
+  and, for square-free ``p``, the chain, whose first term is the part.
+  ``sturm_count`` counts roots on half-open intervals ``(lo, hi]``, with
+  ``lo``/``hi`` rationals or +-infinity;
 * ``isolate_max_root`` / ``refine`` -- certified isolation of the largest
   real root as an :class:`AlgebraicNumber`: isolation bisects from the
   power-of-two Fujiwara bound, and a narrowing by more than 64 bits runs
@@ -235,14 +235,6 @@ def sturm_chain(p: IntPolynomial) -> SturmChain:
         if seq[-1].degree == 0:
             return SturmChain(tuple(seq))
         f0 = _primitive(_exquo(f0, seq[-1]), positive_lead=True)
-
-
-def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """``p / gcd(p, p')``, primitive with positive lead: the first term of
-    the Sturm chain, read off its signed PRS."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no square-free part")
-    return sturm_chain(p).polys[0]
 
 
 def _point(x: Endpoint | int) -> tuple[int, int]:

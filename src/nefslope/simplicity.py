@@ -17,7 +17,7 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import InconsistentContext, InputError
-from .exactio import describe_int, format_rational
+from .exactio import describe, describe_int, format_rational
 from .numdata import (
     IntersectionProfile,
     SymMatrixModel,
@@ -25,7 +25,6 @@ from .numdata import (
     binary_profile,
     is_proportional,
     profile_from_matrix,
-    require_valid,
 )
 from .slope import (
     IrrationalSlope,
@@ -52,9 +51,11 @@ class NormClassSpec:
 
     def __post_init__(self):
         if not 1 <= self.sub_dim <= self.n - 1:
-            raise InputError(f"subtorus dimension must be in [1, {self.n - 1}], got {self.sub_dim}")
+            raise InputError(
+                f"subtorus dimension must be in [1, {describe_int(self.n - 1)}], got {describe(self.sub_dim)}"
+            )
         if self.exponent < 1:
-            raise InputError(f"exponent must be positive, got {self.exponent}")
+            raise InputError(f"exponent must be positive, got {describe(self.exponent)}")
 
 
 def norm_class(spec: NormClassSpec) -> SymMatrixModel:
@@ -171,8 +172,6 @@ def scan(
     for compatibility and has no effect.
     """
     items = list(instances)
-    for _, profile in items:
-        require_valid(profile)
     tops = {profile.v[profile.n] for _, profile in items}
     if top_l is not None:
         tops.add(top_l)

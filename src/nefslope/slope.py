@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .errors import NegationIsNef, SlopeIsInfinite
 from .exactio import format_int, format_ratio
-from .numdata import IntersectionProfile, binary_profile, require_valid
+from .numdata import IntersectionProfile, binary_profile
 from .polyroot import (
     AlgebraicNumber,
     IntPolynomial,
@@ -174,7 +174,6 @@ def is_nef(p: IntersectionProfile) -> NefReport:
     The profile is that of the tested bundle ``B`` against the ample ``L``;
     ampleness additionally requires ``B^n > 0``.
     """
-    require_valid(p)
     values = tuple((k, p.v[k]) for k in range(p.n + 1))
     witness = next((k for k, x in values if x < 0), None)
     nef = witness is None
@@ -197,7 +196,6 @@ def slope(profile: IntersectionProfile) -> SlopeResult:
     Infinite exactly when the maximal real root of the profile polynomial
     is non-positive or absent, zero included.
     """
-    require_valid(profile)
     chi = chi_polynomial(profile)
     best = isolate_max_root(chi)
     if best is None or compare_with_rational(best, 0) <= 0:
@@ -230,7 +228,6 @@ def slope_lower_bound(profile: IntersectionProfile) -> Fraction:
     threshold exceeds the reciprocal Cauchy radius of the profile
     polynomial, ``(1 + max_k C(n,k) |v[k]| / v[n])^-1``.
     """
-    require_valid(profile)
     negated = binary_profile(profile, 0, -1)
     if is_nef(negated).nef:
         raise NegationIsNef("-M is nef, the threshold is infinite and needs no bound")

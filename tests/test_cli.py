@@ -357,7 +357,26 @@ class TestErrorHandling:
 
     def test_syntactic_violation(self, capsys):
         code, _, err = run(capsys, ["slope", "--input", '{"n": 2, "v": [0, 1, -2]}'])
-        assert code == 3
+        assert code == 2
+        assert err.startswith("input error: v[2]: L^n must be positive, got -2")
+
+    @pytest.mark.parametrize("command", ["slope", "nef", "certify", "bound", "scan"])
+    @pytest.mark.parametrize(
+        "instance,message",
+        [
+            ({"n": 2, "v": [0, 1, -2]}, "input error: v[2]: L^n must be positive, got -2"),
+            ({"n": 1, "v": ["5", "0"]}, "input error: v[1]: L^n must be positive, got 0"),
+            ({"n": 2, "Ln": "0", "F": [["1", "0"], ["0", "0"]]}, "input error: L^n must be a positive integer, got 0"),
+            ({"n": 1, "Ln": -3, "F": [["1"]]}, "input error: L^n must be a positive integer, got -3"),
+        ],
+        ids=["profile-negative-top", "profile-zero-top", "matrix-zero-top", "matrix-negative-top"],
+    )
+    def test_non_positive_top_is_an_input_error(self, capsys, command, instance, message):
+        # A polarization has L^n > 0 whether the input is a profile or a matrix.
+        payload = json.dumps([instance] if command == "scan" else instance)
+        code, out, err = run(capsys, [command, "--input", payload])
+        assert (code, out) == (2, None)
+        assert err.startswith(message)
 
 
 #: The modules that ``import nefslope.cli`` adds under ``python -S`` on

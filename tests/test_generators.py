@@ -69,6 +69,14 @@ class TestGenSurface:
     def test_needs_polarization(self):
         with pytest.raises(InputError):
             gen_surface(0, 1, 0)
+        # A negative L^2 is refused as an input error before the index inequality is read.
+        with pytest.raises(InputError, match=r"^v\[2\]: L\^n must be positive, got -1$"):
+            gen_surface(-1, 0, -5)
+
+    def test_hodge_message_past_string_limit(self):
+        with pytest.raises(HodgeViolation) as exc:
+            gen_surface(10**5000, 0, 10**5000)
+        assert str(exc.value) == "(L.M)^2 = 0 < L^2 M^2 = <33220-bit integer>"
 
 
 class TestGenRandom:

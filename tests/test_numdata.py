@@ -72,6 +72,20 @@ class TestProfileFromMatrix:
         with pytest.raises(InputError):
             SymMatrixModel(2, frac_rows([[0, 1], [0, 0]]), 2)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((-(10**5000), (), 1), "matrix model dimension must be a positive integer, got <16610-bit integer>"),
+            ((1, ((0,),), -(10**5000)), "L^n must be a positive integer, got <16610-bit integer>"),
+            ((1, ((0,),), Fraction(10**5000, 3)), "L^n must be a positive integer, got Fraction(<16610-bit integer>, 3)"),
+        ],
+        ids=["huge-negative-n", "huge-negative-top", "huge-fraction-top"],
+    )
+    def test_message_past_string_limit(self, args, message):
+        with pytest.raises(InputError) as exc:
+            SymMatrixModel(*args)
+        assert str(exc.value) == message
+
     def test_chi_identity_on_random_integer_matrices(self):
         rng = SplitMix64(42)
         for index in range(122):
@@ -117,6 +131,23 @@ class TestCharpoly:
         for rows in ([[1, 2], [2]], [[1], [2, 3]], [[1, 2], [3, 4, 5]]):
             with pytest.raises(InputError, match="matrix must be square"):
                 charpoly(frac_rows(rows))
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([[0.5]], "F[0][0]: expected an integer or a Fraction, got 0.5"),
+            ([["1"]], "F[0][0]: expected an integer or a Fraction, got '1'"),
+            ([[1, 0], [0, True]], "F[1][1]: expected an integer or a Fraction, got True"),
+        ],
+        ids=["float", "string", "bool"],
+    )
+    def test_non_rational_entry_rejected(self, rows, message):
+        with pytest.raises(InputError) as exc:
+            charpoly(rows)
+        assert str(exc.value) == message
+
+    def test_int_and_fraction_entries(self):
+        assert charpoly([[2, Fraction(1, 2)], [Fraction(1, 2), 2]]) == (Fraction(15, 4), Fraction(-4), Fraction(1))
 
     def test_against_sympy(self):
         # Symmetric and general rational matrices, n = 0..10, denominators up to 12
@@ -175,35 +206,52 @@ class TestValidate:
         hodge = next(v for v in report.violations if v.check == "hodge-index")
         assert hodge.witness == (1, 4)
 
-    def test_syntactic_violation_never_raises(self):
-        report = validate(IntersectionProfile(2, (0, 1, -2)), ValidationLevel.SYNTACTIC)
-        assert not report.ok
-        assert report.violations[0].check == "ample-top"
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((2, (Fraction(10**5000, 3), 1, 1)), "v[0]: expected an integer, got Fraction(<16610-bit integer>, 3)"),
+            ((-(10**5000), (1,)), "n: must be a positive integer, got <16610-bit integer>"),
+            ((10**5000, (1,)), "v: expected n + 1 = <16610-bit integer> entries, got 1"),
+            ((2, (1, 1, -(10**5000))), "v[2]: L^n must be positive, got <16610-bit integer>"),
+        ],
+        ids=["huge-fraction-entry", "huge-negative-n", "huge-n", "huge-negative-top"],
+    )
+    def test_syntactic_message_past_string_limit(self, args, message):
+        with pytest.raises(InputError) as exc:
+            IntersectionProfile(*args)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
-        "profile,check,size",
+        "args,message",
         [
-            (IntersectionProfile(2, (Fraction(10**5000, 3), 1, 1)), "integrality", "Fraction(<16610-bit integer>, 3)"),
-            (IntersectionProfile(-(10**5000), (1,)), "dimension", "got <16610-bit integer>"),
-            (IntersectionProfile(10**5000, (1,)), "profile-length", "expected <16610-bit integer> entries"),
+            ((2, (0, 1, -2)), "v[2]: L^n must be positive, got -2"),
+            ((2, (0, 1, 0)), "v[2]: L^n must be positive, got 0"),
+            ((2, (Fraction(1, 3), 1.5, 1)), "v[0]: expected an integer, got Fraction(1, 3)"),
+            ((2, (0, 1.5, 1)), "v[1]: expected an integer, got 1.5"),
+            ((2, (0, 1, True)), "v[2]: expected an integer, got True"),
+            (("2", (1,)), "n: must be a positive integer, got '2'"),
+            ((0, (1,)), "n: must be a positive integer, got 0"),
+            ((2, (1, 2)), "v: expected n + 1 = 3 entries, got 2"),
+            ((2, None), "v: expected a sequence of integers, got None"),
         ],
-        ids=["huge-fraction-entry", "huge-negative-n", "huge-n"],
+        ids=[
+            "negative-top",
+            "zero-top",
+            "fraction-entry",
+            "float-entry",
+            "bool-entry",
+            "string-n",
+            "zero-n",
+            "wrong-length",
+            "none-v",
+        ],
     )
-    def test_syntactic_message_past_string_limit(self, profile, check, size):
-        report = validate(profile, ValidationLevel.SYNTACTIC)
-        assert not report.ok
-        assert report.violations[0].check == check
-        assert size in report.violations[0].message
-
-    def test_small_values_render_as_repr(self):
-        report = validate(IntersectionProfile(2, (Fraction(1, 3), 1.5, 1)), ValidationLevel.SYNTACTIC)
-        assert report.violations[0].message == "non-integer entries [Fraction(1, 3), 1.5]"
-        report = validate(IntersectionProfile("2", (1,)), ValidationLevel.SYNTACTIC)
-        assert report.violations[0].message == "n must be a positive integer, got '2'"
-
-    def test_wrong_length(self):
-        report = validate(IntersectionProfile(2, (1, 2)), ValidationLevel.SYNTACTIC)
-        assert [v.check for v in report.violations] == ["profile-length"]
+    def test_construction_checks_type_invariants(self, args, message):
+        # The type invariants are checked once, when a profile is built, and the
+        # error names the field; huge values are named by bit length (above).
+        with pytest.raises(InputError) as exc:
+            IntersectionProfile(*args)
+        assert str(exc.value) == message
 
     def test_spectral_flags_complex_spectrum(self):
         # chi = 2 u^2 - 2 u + 2 has no real roots; chi = 3 (u^2 + 1)^2 has a
@@ -265,6 +313,14 @@ class TestBinaryProfile:
                 assert chi_comb(u) == Fraction(b) ** n * chi_pair(Fraction(u - a, b))
             else:
                 assert chi_comb(u) == (u - a) ** n * v[n]
+
+    @given(st.integers(1, 6), st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6), st.data())
+    def test_combination_keeps_top_entry(self, n, a, b, data):
+        # Every combination aL + bM, boundary and negated classes included, has
+        # B^0 . L^n = L^n > 0 again, so it is a valid profile without a check.
+        v = [data.draw(st.integers(-(10**6), 10**6)) for _ in range(n)] + [data.draw(st.integers(1, 10**6))]
+        p = IntersectionProfile(n, tuple(v))
+        assert binary_profile(p, a, b).v[n] == p.v[n]
 
     def test_profile_json_round_trip(self):
         p = IntersectionProfile(2, (2, 3, 2))

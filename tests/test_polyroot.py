@@ -27,7 +27,6 @@ from nefslope.polyroot import (
     rational_roots,
     reciprocal,
     refine,
-    squarefree_part,
     sturm_chain,
     sturm_count,
 )
@@ -86,11 +85,11 @@ class TestIntPolynomial:
 
 class TestSquarefree:
     def test_squarefree_part_of_power(self):
-        assert squarefree_part(P([0, 0, 1])) == P([0, 1])
+        assert sturm_chain(P([0, 0, 1])).polys[0] == P([0, 1])
 
     def test_squarefree_part_keeps_distinct_roots(self):
         p = from_roots([1, 3], lead=2)
-        assert squarefree_part(p) == from_roots([1, 3])
+        assert sturm_chain(p).polys[0] == from_roots([1, 3])
 
 
 class TestSturm:
@@ -171,7 +170,7 @@ class TestOnePrs:
         for p in _seeded_polynomials(2718, 300):
             seen.add((p.degree == 0, p.coeffs[-1] < 0, p.coeffs[0] == 0))
             assert sturm_chain(p).polys == _reference_chain(p), p
-            assert squarefree_part(p) == _reference_chain(p)[0], p
+            assert sturm_chain(p).polys[0] == _reference_chain(p)[0], p
         # constants, negative leads and zero roots all occur
         assert {(True, True, False), (False, True, True), (False, False, False)} <= seen
 
@@ -427,7 +426,7 @@ class TestIsolateMaxRoot:
     def test_rational_max_with_denominator_lead(self):
         # (7u - 10) (u^2 - 2): 10/7 lies 0.014 above sqrt(2); lead(h) = 7
         p = _mul(P([-10, 7]), P([-2, 0, 1]))
-        assert squarefree_part(p).coeffs[-1] == 7
+        assert sturm_chain(p).polys[0].coeffs[-1] == 7
         assert isolate_max_root(p).exact == Fraction(10, 7)
 
     def test_repeated_rational_max(self):
@@ -443,7 +442,7 @@ class TestIsolateMaxRoot:
         p = _mul(P([-1, 1]), P([-d, 0, 1]))
         root = isolate_max_root(p)
         assert root.exact is None
-        assert root.minpoly_factor == squarefree_part(p)
+        assert root.minpoly_factor == sturm_chain(p).polys[0]
         lo, hi = root.interval
         assert in_interval_surd(lo, hi, Fraction(0), Fraction(1), d)
         assert sturm_count(sturm_chain(root.minpoly_factor), lo, hi) == 1
@@ -469,7 +468,7 @@ class TestIsolateMaxRoot:
     def test_max_root_at_bisection_midpoint(self):
         # (u - 1) (u^2 + 1): Cauchy interval (-2, 2], bisected at 0, then at 1
         p = _mul(P([-1, 1]), P([1, 0, 1]))
-        assert cauchy_bound(squarefree_part(p)) == 2
+        assert cauchy_bound(sturm_chain(p).polys[0]) == 2
         assert isolate_max_root(p).exact == 1
 
     def test_interval_isolates_and_tops(self):
@@ -530,7 +529,7 @@ class TestSympyOracle:
             _, sqf = poly.sqf_part().primitive()
             if sqf.LC() < 0:
                 sqf = -sqf
-            assert squarefree_part(p) == P([int(c) for c in reversed(sqf.all_coeffs())])
+            assert sturm_chain(p).polys[0] == P([int(c) for c in reversed(sqf.all_coeffs())])
             chain = sturm_chain(p)
             for _ in range(4):
                 lo, hi = sorted(Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(2))
@@ -579,7 +578,7 @@ class TestHeavyInputs:
         else:
             profile = profile_from_matrix(gen_random(GenSpec(kind, seed=1, count=1, n=size))[0])
         chi = chi_polynomial(profile)
-        h = sympy.Poly(list(reversed(squarefree_part(chi).coeffs)), sympy.Symbol("u"), domain=sympy.QQ)
+        h = sympy.Poly(list(reversed(sturm_chain(chi).polys[0].coeffs)), sympy.Symbol("u"), domain=sympy.QQ)
         result = slope(profile)
         top = max(h.ground_roots(), default=None)
         if top is not None and h.count_roots(top, None) == 1:
@@ -671,7 +670,7 @@ class TestRefine:
         # (u - 1) (u^2 - 3) on (1, 2]: the excluded end 1 is a root, so the
         # inverted interval must not end at 1/1 = 1
         p = _mul(P([-1, 1]), P([-3, 0, 1]))
-        inv = reciprocal(AlgebraicNumber(squarefree_part(p), (Fraction(1), Fraction(2))))
+        inv = reciprocal(AlgebraicNumber(sturm_chain(p).polys[0], (Fraction(1), Fraction(2))))
         lo, hi = inv.interval
         assert hi < 1
         assert sturm_count(sturm_chain(inv.minpoly_factor), lo, hi) == 1
@@ -718,7 +717,7 @@ class TestRefine:
     def test_qir_with_root_at_lower_end(self):
         # (u - 1) (u^2 - 3) on (1, 2]: the excluded end 1 is a root, whose
         # zero value only steers the first secant guess.
-        p = squarefree_part(_mul(P([-1, 1]), P([-3, 0, 1])))
+        p = sturm_chain(_mul(P([-1, 1]), P([-3, 0, 1]))).polys[0]
         tight = refine(AlgebraicNumber(p, (Fraction(1), Fraction(2))), Fraction(1, 2**300))
         lo, hi = tight.interval
         assert tight.exact is None and hi - lo <= Fraction(1, 2**300)

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from nefslope import simplicity
-from nefslope.errors import AsymmetricInput, InconsistentContext
+from nefslope.errors import AsymmetricInput, InconsistentContext, InputError
 from nefslope.generators import GenSpec, SplitMix64, gen_product, gen_random
 from nefslope.numdata import IntersectionProfile, SymMatrixModel, profile_from_matrix
 from nefslope.simplicity import (
@@ -47,6 +47,21 @@ class TestNormClass:
         m = norm_class(NormClassSpec(3, 1, 3))
         assert m.entries == diag([9, 0, 0])
         assert m.top_l == 6
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((10**5000, 0, 1), "subtorus dimension must be in [1, <16610-bit integer>], got 0"),
+            ((3, 10**5000, 1), "subtorus dimension must be in [1, 2], got <16610-bit integer>"),
+            ((3, 1, -(10**5000)), "exponent must be positive, got <16610-bit integer>"),
+            ((3, 1, 0), "exponent must be positive, got 0"),
+        ],
+        ids=["huge-n", "huge-sub-dim", "huge-negative-exponent", "zero-exponent"],
+    )
+    def test_message_past_string_limit(self, args, message):
+        with pytest.raises(InputError) as exc:
+            NormClassSpec(*args)
+        assert str(exc.value) == message
 
 
 class TestNormSlopeCheck:
