@@ -3,7 +3,7 @@
 Subcommands read instance JSON (a file path, inline JSON, or "-" for
 stdin), run the corresponding operation and emit certificate JSON on
 stdout with a one-line human summary on stderr.  Output is byte-stable for
-fixed input, flags and ``NEFSLOPE_WIDTH`` (the default ``slope --width``).
+fixed input and flags.
 
 Exit codes: 0 success / consistent-with-simple, 10 non-simplicity witness
 (scan only), 2 input error, 3 precondition violation.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -36,7 +35,7 @@ EXIT_PRECONDITION = 3
 
 GEN_KINDS = ("surface", "product-matrix", "rational-matrix")  # generators.KINDS, not imported at start-up
 
-#: Narrowest accepted display width (``--width`` / ``NEFSLOPE_WIDTH``).
+#: Narrowest accepted display width (``slope --width``).
 MIN_WIDTH = Fraction(1, 2**4096)
 
 _LEVELS = {
@@ -128,8 +127,6 @@ def _cmd_profile(args):
 
 def _cmd_scan(args):
     data = _read_payload(args.input)
-    if isinstance(data, dict):
-        data = data.get("instances", data)
     if not isinstance(data, list):
         raise InputError("scan input must be a JSON array of instances")
     items = []
@@ -215,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_width(flag: str | None) -> Fraction:
-    text = flag if flag is not None else os.environ.get("NEFSLOPE_WIDTH")
-    width = parse_rational(text, "width") if text else DEFAULT_WIDTH
+    width = DEFAULT_WIDTH if flag is None else parse_rational(flag, "width")
     if width <= 0:
         raise InputError("width: must be positive")
     # Refinement keeps an irrational root's ends over one denominator of

@@ -22,8 +22,8 @@ from math import factorial
 from typing import Sequence
 
 from .errors import HodgeViolation, InputError
-from .exactio import describe_int
-from .numdata import IntersectionProfile, SymMatrixModel
+from .exactio import describe, describe_int
+from .numdata import IntersectionProfile, SymMatrixModel, _is_plain_int
 
 _INCREMENT = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -75,8 +75,12 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown generator kind {self.kind!r}; expected one of {KINDS}")
-        if self.count < 0 or self.bound < 1 or self.n < 1:
-            raise InputError("count must be >= 0, bound and n >= 1")
+        for field, least in (("seed", None), ("count", 0), ("n", 1), ("bound", 1)):
+            value = getattr(self, field)
+            if not _is_plain_int(value):
+                raise InputError(f"{field}: expected an integer, got {describe(value)}")
+            if least is not None and value < least:
+                raise InputError(f"{field}: must be at least {least}, got {describe_int(value)}")
         if self.kind == RATIONAL_MATRIX and self.n < 2:
             raise InputError("rational-matrix instances need n >= 2 (a non-constant spectrum)")
 

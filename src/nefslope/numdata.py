@@ -35,6 +35,13 @@ def _is_plain_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _entry(x, i: int, j: int) -> int | Fraction:
+    """Entry ``F[i][j]`` if it is an ``int`` or a ``Fraction``, else :class:`InputError`."""
+    if _is_plain_int(x) or isinstance(x, Fraction):
+        return x
+    raise InputError(f"F[{i}][{j}]: expected an integer or a Fraction, got {describe(x)}")
+
+
 def _array(value, field: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"{field}: expected a JSON array, got {value!r}")
@@ -88,9 +95,9 @@ class SymMatrixModel:
 
     ``entries`` is the matrix of the endomorphism attached to the bundle;
     ``top_l`` is the value of ``L^n`` (``n!`` for the product principal
-    polarization, scalable for scaled polarizations).  Construction raises
-    unless ``n`` and ``L^n`` are positive integers and ``F`` is a symmetric
-    n x n matrix (:class:`AsymmetricInput`, naming the field).
+    polarization, scalable for scaled polarizations).  Construction raises,
+    naming the field, unless ``n`` and ``L^n`` are positive integers and ``F``
+    is a symmetric n x n matrix of ``int`` or ``Fraction`` entries.
     """
 
     n: int
@@ -98,7 +105,7 @@ class SymMatrixModel:
     top_l: int
 
     def __post_init__(self):
-        f = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
+        f = tuple(tuple(Fraction(_entry(x, i, j)) for j, x in enumerate(row)) for i, row in enumerate(self.entries))
         object.__setattr__(self, "entries", f)
         n = self.n
         if not _is_plain_int(n) or n < 1:
@@ -232,13 +239,8 @@ def _berkowitz(entries: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[i
 
 def charpoly(entries: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
     """Coefficients of ``det(u I - F)``, ascending: ``c_k / D^(n-k)`` for the
-    integers ``D`` and ``c_k`` of :func:`_berkowitz`.  Every entry must be an
-    ``int`` or a ``Fraction``; any other raises :class:`InputError` naming it."""
-    for i, row in enumerate(entries):
-        for j, x in enumerate(row):
-            if not _is_plain_int(x) and not isinstance(x, Fraction):
-                raise InputError(f"F[{i}][{j}]: expected an integer or a Fraction, got {describe(x)}")
-    d, c = _berkowitz(entries)
+    integers ``D`` and ``c_k`` of :func:`_berkowitz`; entries must be ``int`` or ``Fraction``."""
+    d, c = _berkowitz([[_entry(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(entries)])
     return tuple(Fraction(ck, d ** (len(c) - 1 - k)) for k, ck in enumerate(c))
 
 

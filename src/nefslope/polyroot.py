@@ -239,7 +239,9 @@ def sturm_chain(p: IntPolynomial) -> SturmChain:
 
 def _point(x: Endpoint | int) -> tuple[int, int]:
     """The integer point ``(a : b)`` of a rational, or ``(+-1 : 0)`` of +-infinity."""
-    if isinstance(x, float) and isinf(x):
+    if isinstance(x, float):
+        if not isinf(x):
+            raise ValueError(f"endpoint {x!r}: a finite endpoint must be a Fraction or an int")
         return (1 if x > 0 else -1), 0
     return x.numerator, x.denominator
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InconsistentContext, InputError
 from .exactio import describe, describe_int, format_rational
@@ -22,6 +22,7 @@ from .numdata import (
     IntersectionProfile,
     SymMatrixModel,
     _berkowitz,
+    _is_plain_int,
     binary_profile,
     is_proportional,
     profile_from_matrix,
@@ -50,6 +51,9 @@ class NormClassSpec:
     exponent: int
 
     def __post_init__(self):
+        for field in ("n", "sub_dim", "exponent"):
+            if not _is_plain_int(getattr(self, field)):
+                raise InputError(f"{field}: expected an integer, got {describe(getattr(self, field))}")
         if not 1 <= self.sub_dim <= self.n - 1:
             raise InputError(
                 f"subtorus dimension must be in [1, {describe_int(self.n - 1)}], got {describe(self.sub_dim)}"
@@ -160,21 +164,15 @@ def _scan_one(label: str, profile: IntersectionProfile) -> ScanEntry:
     )
 
 
-def scan(
-    instances: Sequence[tuple[str, IntersectionProfile]] | Iterable[tuple[str, IntersectionProfile]],
-    top_l: int | None = None,
-    jobs: int = 1,
-) -> SimplicityScan:
+def scan(instances: Iterable[tuple[str, IntersectionProfile]], *, jobs: int = 1) -> SimplicityScan:
     """Scan labelled profiles for non-simplicity witnesses.
 
-    All instances must share the same ``L^n`` (optionally pinned by
-    ``top_l``); entries are processed in input order.  ``jobs`` is accepted
-    for compatibility and has no effect.
+    A scan covers one polarized variety: all instances must share its ``L^n``
+    (else :class:`InconsistentContext`).  Entries are processed in input
+    order; ``jobs`` is accepted for compatibility and has no effect.
     """
     items = list(instances)
     tops = {profile.v[profile.n] for _, profile in items}
-    if top_l is not None:
-        tops.add(top_l)
     if len(tops) > 1:
         raise InconsistentContext(f"instances disagree on L^n: [{', '.join(map(describe_int, sorted(tops)))}]")
     entries = tuple(_scan_one(label, profile) for label, profile in items)

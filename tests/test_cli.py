@@ -64,12 +64,13 @@ class TestSlopeCommand:
         lo, hi = (Fraction(x) for x in payload["slope"]["interval"])
         assert hi - lo <= 1 / 1000
 
-    def test_width_env(self, capsys, monkeypatch):
+    def test_width_ignores_env(self, capsys, monkeypatch):
+        # The width comes from --width only: the environment never changes the output bytes.
+        main(["slope", "--input", SURFACE_IRRATIONAL])
+        plain = capsys.readouterr()
         monkeypatch.setenv("NEFSLOPE_WIDTH", "1/4")
-        code, payload, _ = run(capsys, ["slope", "--input", SURFACE_IRRATIONAL])
-        assert code == 0
-        lo, hi = (Fraction(x) for x in payload["zeta"]["interval"])
-        assert hi - lo <= 1 / 4
+        main(["slope", "--input", SURFACE_IRRATIONAL])
+        assert capsys.readouterr() == plain
 
     def test_byte_stable(self, capsys):
         main(["slope", "--input", SURFACE_IRRATIONAL])
@@ -159,6 +160,13 @@ class TestScanCommand:
         assert code == 2
         assert "disagree" in err
 
+    def test_object_input_rejected(self, capsys):
+        wrapped = json.dumps({"instances": json.loads(SCAN_INPUT)})
+        code, payload, err = run(capsys, ["scan", "--input", wrapped])
+        assert code == 2
+        assert payload is None
+        assert err == "input error: scan input must be a JSON array of instances\n"
+
     def test_jobs_flag(self, capsys):
         code_serial, payload_serial, _ = run(capsys, ["scan", "--input", SCAN_INPUT])
         code_parallel, payload_parallel, _ = run(
@@ -247,6 +255,7 @@ class TestErrorHandling:
             (["--input", '{"n": 2, "v": [' + "1" * 5000 + ", 3, 2]}"], "v[0]:"),
             (["--input", '{"n": 2, "v": [1, 2]}'], "v:"),
             (["--input", SURFACE_IRRATIONAL, "--width", "abc"], "width:"),
+            (["--input", SURFACE_IRRATIONAL, "--width", ""], "width: not a rational: ''"),
             (["--input", SURFACE_IRRATIONAL, "--width", "1e-100000"], "width:"),
             (["--input", '{"n": 2, "Ln": "2", "F": [["1e-5000", "0"], ["0", "0"]]}'], "F[0][0]:"),
             (["--input", SURFACE_IRRATIONAL, "--width", "1e-3000000"], "width:"),
@@ -262,6 +271,7 @@ class TestErrorHandling:
             "oversized-integer",
             "short-profile",
             "bad-width",
+            "empty-width",
             "width-below-floor",
             "oversized-exponent",
             "oversized-width-exponent",

@@ -105,6 +105,24 @@ class TestGenRandom:
             profile = profile_from_matrix(m)
             assert validate(profile, ValidationLevel.SPECTRAL).ok
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"seed": 1.5}, "seed: expected an integer, got 1.5"),
+            ({"count": 2.5}, "count: expected an integer, got 2.5"),
+            ({"n": "3"}, "n: expected an integer, got '3'"),
+            ({"bound": True}, "bound: expected an integer, got True"),
+            ({"count": -1}, "count: must be at least 0, got -1"),
+            ({"n": 0}, "n: must be at least 1, got 0"),
+            ({"bound": 0}, "bound: must be at least 1, got 0"),
+        ],
+        ids=["float-seed", "float-count", "string-n", "bool-bound", "negative-count", "zero-n", "zero-bound"],
+    )
+    def test_bad_field_named(self, fields, message):
+        with pytest.raises(InputError) as exc:
+            GenSpec(**{"kind": "surface", "seed": 1, "count": 1, **fields})
+        assert str(exc.value) == message
+
     def test_bad_spec_rejected(self):
         with pytest.raises(InputError):
             GenSpec("mystery", seed=1, count=1)

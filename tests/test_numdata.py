@@ -133,17 +133,21 @@ class TestCharpoly:
                 charpoly(frac_rows(rows))
 
     @pytest.mark.parametrize(
-        "rows,message",
+        "build,rows,message",
         [
-            ([[0.5]], "F[0][0]: expected an integer or a Fraction, got 0.5"),
-            ([["1"]], "F[0][0]: expected an integer or a Fraction, got '1'"),
-            ([[1, 0], [0, True]], "F[1][1]: expected an integer or a Fraction, got True"),
+            pytest.param(build, rows, message, id=prefix + kind)
+            for build, prefix in ((charpoly, ""), (lambda rows: SymMatrixModel(len(rows), rows, 1), "model-"))
+            for kind, rows, message in [
+                ("float", [[0.5]], "F[0][0]: expected an integer or a Fraction, got 0.5"),
+                ("string", [["1"]], "F[0][0]: expected an integer or a Fraction, got '1'"),
+                ("bool", [[1, 0], [0, True]], "F[1][1]: expected an integer or a Fraction, got True"),
+            ]
         ],
-        ids=["float", "string", "bool"],
     )
-    def test_non_rational_entry_rejected(self, rows, message):
+    def test_non_rational_entry_rejected(self, build, rows, message):
+        # charpoly and the matrix model accept the same entries, with the same message.
         with pytest.raises(InputError) as exc:
-            charpoly(rows)
+            build(rows)
         assert str(exc.value) == message
 
     def test_int_and_fraction_entries(self):

@@ -111,6 +111,20 @@ class TestSturm:
         assert sturm_count(chain, Fraction(-1), Fraction(0)) == 1
         assert sturm_count(chain, Fraction(0), Fraction(1)) == 0
 
+    @pytest.mark.parametrize(
+        "lo,hi,message",
+        [
+            (Fraction(1), Fraction(1), "empty interval (1, 1]"),
+            (0.5, Fraction(2), "endpoint 0.5: a finite endpoint must be a Fraction or an int"),
+            (NEG_INF, 2.5, "endpoint 2.5: a finite endpoint must be a Fraction or an int"),
+        ],
+        ids=["empty", "float-lo", "float-hi"],
+    )
+    def test_bad_interval_rejected(self, lo, hi, message):
+        with pytest.raises(ValueError) as exc:
+            sturm_count(sturm_chain(P([-2, 0, 1])), lo, hi)
+        assert str(exc.value) == message
+
     def test_pseudo_remainder_keeps_signs(self):
         # Both chains end by dividing a cubic by a linear term with negative
         # lead, so the pseudo-remainder scale must be |lead|^3, not lead^3.

@@ -55,8 +55,21 @@ class TestNormClass:
             ((3, 10**5000, 1), "subtorus dimension must be in [1, 2], got <16610-bit integer>"),
             ((3, 1, -(10**5000)), "exponent must be positive, got <16610-bit integer>"),
             ((3, 1, 0), "exponent must be positive, got 0"),
+            ((3, 1, 1.5), "exponent: expected an integer, got 1.5"),
+            ((3, "1", 1), "sub_dim: expected an integer, got '1'"),
+            ((3.0, 1, 1), "n: expected an integer, got 3.0"),
+            ((True, 1, 1), "n: expected an integer, got True"),
         ],
-        ids=["huge-n", "huge-sub-dim", "huge-negative-exponent", "zero-exponent"],
+        ids=[
+            "huge-n",
+            "huge-sub-dim",
+            "huge-negative-exponent",
+            "zero-exponent",
+            "float-exponent",
+            "string-sub-dim",
+            "float-n",
+            "bool-n",
+        ],
     )
     def test_message_past_string_limit(self, args, message):
         with pytest.raises(InputError) as exc:
@@ -117,8 +130,6 @@ class TestScan:
         ]
         with pytest.raises(InconsistentContext):
             scan(instances)
-        with pytest.raises(InconsistentContext):
-            scan([("a", IntersectionProfile(2, (0, 1, 2)))], top_l=4)
 
     def test_inconsistent_context_past_int_string_limit(self):
         # L^n past the int-string limit is named by its bit length.
