@@ -213,12 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_width(flag: str | None) -> Fraction:
     width = DEFAULT_WIDTH if flag is None else parse_rational(flag, "width")
-    if width <= 0:
-        raise InputError("width: must be positive")
     # Refinement keeps an irrational root's ends over one denominator of
     # about log2(1/width) bits, so the floor bounds those integers.
     if width < MIN_WIDTH:
-        raise InputError("width: must be at least the floor 2^-4096")
+        raise InputError(f"width: must be at least 2^-4096, got {flag}")
     return width
 
 

@@ -3,8 +3,9 @@
 All exact values are serialized as decimal strings ("p" or "p/q") so that
 consumers limited to 64-bit JSON numbers never truncate them.  Parsers
 accept plain JSON integers as well, and name the input field in every
-error they raise.  This is the one module that checks the int-string limit:
-on input, on output (an :class:`InputError`) and in messages (a bit length).
+error they raise, as do the checks that records run when built.  This is the
+one module that checks the int-string limit: on input, on output (an
+:class:`InputError`) and in messages (a bit length).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import AsymmetricInput, InputError
 
 
 #: The exponent of a decimal string, as ``Fraction`` reads it.
@@ -36,31 +37,25 @@ def _check_digits(text: str, field: str) -> None:
 
 
 def parse_int(value: int | str, field: str) -> int:
-    if isinstance(value, bool):
-        raise InputError(f"{field}: expected an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        _check_digits(value, field)
-        try:
-            return int(value.strip(), 10)
-        except ValueError as exc:
-            raise InputError(f"{field}: not a decimal integer: {value!r}") from exc
-    raise InputError(f"{field}: expected an integer or decimal string, got {value!r}")
+    if not isinstance(value, str):
+        return require_int(value, field)
+    _check_digits(value, field)
+    try:
+        return int(value.strip(), 10)
+    except ValueError as exc:
+        raise InputError(f"{field}: not a decimal integer: {value!r}") from exc
 
 
 def parse_rational(value: int | str, field: str) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(f"{field}: expected a rational, got {value!r}")
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
-    if isinstance(value, str):
-        _check_digits(value, field)
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{field}: not a rational: {value!r}") from exc
-    raise InputError(f"{field}: expected a rational or 'p/q' string, got {value!r}")
+    if not isinstance(value, str):
+        raise InputError(f"{field}: expected a rational or 'p/q' string, got {value!r}")
+    _check_digits(value, field)
+    try:
+        return Fraction(value.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{field}: not a rational: {value!r}") from exc
 
 
 def format_int(value: int) -> str:
@@ -111,3 +106,39 @@ def describe(x) -> str:
         return repr(x)
     except ValueError:  # a container of integers past the limit
         return f"<{type(x).__name__}>"
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def require_int(value, field: str, least: int | None = None, most: int | None = None) -> int:
+    """``value`` if a plain ``int`` in ``[least, most]`` (``most`` needs ``least``), else an input error."""
+    if not _is_int(value):
+        raise InputError(f"{field}: expected an integer, got {describe(value)}")
+    if least is not None and (value < least or most is not None and value > most):
+        lo = describe_int(least)
+        limit = f"at least {lo}" if most is None else f"in [{lo}, {describe_int(most)}]"
+        raise InputError(f"{field}: must be {limit}, got {describe_int(value)}")
+    return value
+
+
+def require_seq(value, field: str, items: str) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InputError(f"{field}: expected a sequence of {items}, got {describe(value)}") from None
+
+
+def read_matrix(value, n: int | None = None) -> tuple[tuple[int | Fraction, ...], ...]:
+    """``F`` as rows of ``int`` and ``Fraction`` entries, all read before the shape is checked:
+    ``n x n``, or square if ``n`` is None, else :class:`AsymmetricInput`."""
+    rows = tuple(require_seq(row, f"F[{i}]", "entries") for i, row in enumerate(require_seq(value, "F", "rows")))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if not _is_int(x) and not isinstance(x, Fraction):
+                raise InputError(f"F[{i}][{j}]: expected an integer or a Fraction, got {describe(x)}")
+    n = len(rows) if n is None else n
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise AsymmetricInput(f"F: expected a {describe_int(n)}x{describe_int(n)} matrix")
+    return rows

@@ -22,8 +22,8 @@ from math import factorial
 from typing import Sequence
 
 from .errors import HodgeViolation, InputError
-from .exactio import describe, describe_int
-from .numdata import IntersectionProfile, SymMatrixModel, _is_plain_int
+from .exactio import require_int
+from .numdata import IntersectionProfile, SymMatrixModel, hodge_violation
 
 _INCREMENT = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -75,14 +75,9 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown generator kind {self.kind!r}; expected one of {KINDS}")
-        for field, least in (("seed", None), ("count", 0), ("n", 1), ("bound", 1)):
-            value = getattr(self, field)
-            if not _is_plain_int(value):
-                raise InputError(f"{field}: expected an integer, got {describe(value)}")
-            if least is not None and value < least:
-                raise InputError(f"{field}: must be at least {least}, got {describe_int(value)}")
-        if self.kind == RATIONAL_MATRIX and self.n < 2:
-            raise InputError("rational-matrix instances need n >= 2 (a non-constant spectrum)")
+        least_n = 2 if self.kind == RATIONAL_MATRIX else 1  # a rational-matrix spectrum is never constant
+        for field, least in (("seed", None), ("count", 0), ("n", least_n), ("bound", 1)):
+            require_int(getattr(self, field), field, least)
 
 
 def gen_product(n: int, entries: Sequence[Sequence[int]]) -> SymMatrixModel:
@@ -93,8 +88,8 @@ def gen_product(n: int, entries: Sequence[Sequence[int]]) -> SymMatrixModel:
 def gen_surface(l2: int, lm: int, m2: int) -> IntersectionProfile:
     """Surface profile ``(M^2, L.M, L^2)``; rejects index-inequality violations."""
     profile = IntersectionProfile(2, (m2, lm, l2))
-    if lm * lm < l2 * m2:
-        raise HodgeViolation(f"(L.M)^2 = {describe_int(lm * lm)} < L^2 M^2 = {describe_int(l2 * m2)}")
+    if violation := hodge_violation(profile):
+        raise HodgeViolation(violation.message)
     return profile
 
 
@@ -103,8 +98,9 @@ def _draw_surface(rng: SplitMix64, bound: int) -> IntersectionProfile:
         l2 = rng.in_range(1, bound)
         lm = rng.in_range(-bound, bound)
         m2 = rng.in_range(-bound, bound)
-        if lm * lm >= l2 * m2:
-            return IntersectionProfile(2, (m2, lm, l2))
+        profile = IntersectionProfile(2, (m2, lm, l2))
+        if hodge_violation(profile) is None:
+            return profile
 
 
 def _draw_product_matrix(rng: SplitMix64, n: int, bound: int) -> SymMatrixModel:

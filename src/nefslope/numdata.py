@@ -27,19 +27,9 @@ from operator import mul
 from typing import Sequence
 
 from .errors import AsymmetricInput, InputError, NonIntegralProfile
-from .exactio import describe, describe_int, format_int, format_rational, parse_int, parse_rational
+from .exactio import describe_int, format_int, format_rational, parse_int, parse_rational
+from .exactio import read_matrix, require_int, require_seq
 from .polyroot import NEG_INF, POS_INF, chi_polynomial, sturm_chain, sturm_count
-
-
-def _is_plain_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _entry(x, i: int, j: int) -> int | Fraction:
-    """Entry ``F[i][j]`` if it is an ``int`` or a ``Fraction``, else :class:`InputError`."""
-    if _is_plain_int(x) or isinstance(x, Fraction):
-        return x
-    raise InputError(f"F[{i}][{j}]: expected an integer or a Fraction, got {describe(x)}")
 
 
 def _array(value, field: str) -> list:
@@ -61,21 +51,16 @@ class IntersectionProfile:
     v: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.n
-        try:
-            v = tuple(self.v)
-        except TypeError:
-            raise InputError(f"v: expected a sequence of integers, got {describe(self.v)}") from None
+        v = require_seq(self.v, "v", "integers")
         object.__setattr__(self, "v", v)
-        if not _is_plain_int(n) or n < 1:
-            raise InputError(f"n: must be a positive integer, got {describe(n)}")
+        n = require_int(self.n, "n", 1)
         if len(v) != n + 1:
             raise InputError(f"v: expected n + 1 = {describe_int(n + 1)} entries, got {len(v)}")
         for k, x in enumerate(v):
-            if not _is_plain_int(x):
-                raise InputError(f"v[{k}]: expected an integer, got {describe(x)}")
-        if v[n] <= 0:
-            raise InputError(f"v[{n}]: L^n must be positive, got {describe_int(v[n])}")
+            if type(x) is not int:  # the hot path formats no field name for an exact int
+                require_int(x, f"v[{k}]")
+        if v[n] < 1:
+            require_int(v[n], f"v[{n}]", 1)
 
     def to_json(self) -> dict:
         return {"n": self.n, "v": [format_int(x) for x in self.v]}
@@ -105,13 +90,9 @@ class SymMatrixModel:
     top_l: int
 
     def __post_init__(self):
-        f = tuple(tuple(Fraction(_entry(x, i, j)) for j, x in enumerate(row)) for i, row in enumerate(self.entries))
+        n = require_int(self.n, "n", 1)
+        f = tuple(tuple(map(Fraction, row)) for row in read_matrix(self.entries, n))
         object.__setattr__(self, "entries", f)
-        n = self.n
-        if not _is_plain_int(n) or n < 1:
-            raise InputError(f"matrix model dimension must be a positive integer, got {describe(n)}")
-        if len(f) != n or any(len(row) != n for row in f):
-            raise AsymmetricInput(f"F: expected a {n}x{n} matrix")
         for i in range(n):
             for j in range(i):
                 if f[i][j] != f[j][i]:
@@ -119,8 +100,7 @@ class SymMatrixModel:
                         f"F[{i}][{j}]: {format_rational(f[i][j])} differs from "
                         f"F[{j}][{i}] = {format_rational(f[j][i])}; the matrix must be symmetric"
                     )
-        if not _is_plain_int(self.top_l) or self.top_l <= 0:
-            raise InputError(f"L^n must be a positive integer, got {describe(self.top_l)}")
+        require_int(self.top_l, "L^n", 1)
 
     def to_json(self) -> dict:
         return {
@@ -190,20 +170,20 @@ def validate(p: IntersectionProfile, level: ValidationLevel) -> ValidationReport
                     (str(h), real),
                 )
             )
-    if level >= ValidationLevel.SURFACE_HODGE:
-        if p.n != 2:
-            violations.append(
-                Violation("hodge-index", f"surface check requires n=2, got n={p.n}", (p.n,))
-            )
-        elif p.v[1] ** 2 < p.v[2] * p.v[0]:
-            violations.append(
-                Violation(
-                    "hodge-index",
-                    f"(L.M)^2 = {describe_int(p.v[1] ** 2)} < L^2 M^2 = {describe_int(p.v[2] * p.v[0])}",
-                    (p.v[1] ** 2, p.v[2] * p.v[0]),
-                )
-            )
+    if level >= ValidationLevel.SURFACE_HODGE and (hodge := hodge_violation(p)):
+        violations.append(hodge)
     return ValidationReport(level, tuple(violations))
+
+
+def hodge_violation(p: IntersectionProfile) -> Violation | None:
+    """None when ``p`` is a surface profile ``(M^2, L.M, L^2)`` with the index
+    inequality ``(L.M)^2 >= L^2 M^2``, else the violation, naming both sides."""
+    if p.n != 2:
+        return Violation("hodge-index", f"surface check requires n=2, got n={p.n}", (p.n,))
+    lm2, l2m2 = p.v[1] * p.v[1], p.v[2] * p.v[0]
+    if lm2 >= l2m2:
+        return None
+    return Violation("hodge-index", f"(L.M)^2 = {describe_int(lm2)} < L^2 M^2 = {describe_int(l2m2)}", (lm2, l2m2))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +195,8 @@ def _berkowitz(entries: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[i
     on the integer matrix ``D F``.  ``F`` may be any square matrix, as
     :func:`charpoly` allows, so this one general kernel serves every caller.
     Bordering the r x r block costs r - 1 matrix-vector products; ``map``
-    stops at its shorter argument, so the square check comes first."""
+    stops at its shorter argument, so every caller passes a square ``F``."""
     n = len(entries)
-    if any(len(row) != n for row in entries):
-        raise InputError("matrix must be square")
     d = lcm(*(x.denominator for row in entries for x in row))
     a = [[x.numerator * (d // x.denominator) for x in row] for row in entries]
     # c: det(u I - A_r) of the leading r x r block, descending.  Bordering it
@@ -239,8 +217,8 @@ def _berkowitz(entries: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[i
 
 def charpoly(entries: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
     """Coefficients of ``det(u I - F)``, ascending: ``c_k / D^(n-k)`` for the
-    integers ``D`` and ``c_k`` of :func:`_berkowitz`; entries must be ``int`` or ``Fraction``."""
-    d, c = _berkowitz([[_entry(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(entries)])
+    integers ``D`` and ``c_k`` of :func:`_berkowitz`; ``F`` is read by :func:`read_matrix`."""
+    d, c = _berkowitz(read_matrix(entries))
     return tuple(Fraction(ck, d ** (len(c) - 1 - k)) for k, ck in enumerate(c))
 
 
@@ -288,8 +266,8 @@ def is_proportional(p: IntersectionProfile) -> Fraction | None:
 def binary_profile(p: IntersectionProfile, a: int, b: int) -> IntersectionProfile:
     """Profile of ``B = aL + bM`` against ``L``, expanded by the binomial theorem;
     ``B``'s entry ``v[n]`` is ``L^n`` again, so the result is a valid profile."""
-    if not _is_plain_int(a) or not _is_plain_int(b):
-        raise InputError("coefficients of the bundle combination must be integers")
+    require_int(a, "a")
+    require_int(b, "b")
     n, v = p.n, p.v
     w = []
     for k in range(n + 1):

@@ -10,11 +10,11 @@ integer Horner at a point ``(a : b)``, ``b >= 0``, with +-infinity as
 * ``chi_polynomial`` -- the degree-n integer polynomial attached to an
   intersection profile, whose maximal real root is the reciprocal of the
   nef threshold;
-* Sturm chains of the square-free part ``p / gcd(p, p')``, on which every
-  root question is asked: one signed PRS of ``p`` and ``p'`` gives the gcd
-  and, for square-free ``p``, the chain, whose first term is the part.
-  ``sturm_count`` counts roots on half-open intervals ``(lo, hi]``, with
-  ``lo``/``hi`` rationals or +-infinity;
+* Sturm chains of the square-free part ``h = p / gcd(p, p')``, from one
+  signed PRS of ``p`` and ``p'``.  Isolation counts roots of ``h`` on the
+  chain (``sturm_count`` on ``(lo, hi]``, ``lo``/``hi`` rationals or
+  +-infinity); refinement, ``compare_with_rational`` and the ``k/D`` check
+  read only signs of ``h`` by Horner;
 * ``isolate_max_root`` / ``refine`` -- certified isolation of the largest
   real root as an :class:`AlgebraicNumber`: isolation bisects from the
   power-of-two Fujiwara bound, and a narrowing by more than 64 bits runs

@@ -16,13 +16,12 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
-from .errors import InconsistentContext, InputError
-from .exactio import describe, describe_int, format_rational
+from .errors import InconsistentContext
+from .exactio import describe_int, format_rational, require_int
 from .numdata import (
     IntersectionProfile,
     SymMatrixModel,
     _berkowitz,
-    _is_plain_int,
     binary_profile,
     is_proportional,
     profile_from_matrix,
@@ -51,15 +50,9 @@ class NormClassSpec:
     exponent: int
 
     def __post_init__(self):
-        for field in ("n", "sub_dim", "exponent"):
-            if not _is_plain_int(getattr(self, field)):
-                raise InputError(f"{field}: expected an integer, got {describe(getattr(self, field))}")
-        if not 1 <= self.sub_dim <= self.n - 1:
-            raise InputError(
-                f"subtorus dimension must be in [1, {describe_int(self.n - 1)}], got {describe(self.sub_dim)}"
-            )
-        if self.exponent < 1:
-            raise InputError(f"exponent must be positive, got {describe(self.exponent)}")
+        require_int(self.n, "n")
+        require_int(self.sub_dim, "sub_dim", 1, self.n - 1)
+        require_int(self.exponent, "exponent", 1)
 
 
 def norm_class(spec: NormClassSpec) -> SymMatrixModel:

@@ -1,14 +1,19 @@
 """The top-level API: every exported name, and every name the benchmark imports,
-resolves, and the CLI and ``scan`` accept the calls the benchmark makes."""
+resolves, the CLI and ``scan`` accept the calls the benchmark makes, and the
+library imports from the standard library alone."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nefslope
 from nefslope import cli, simplicity
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def bench_imports():
@@ -56,3 +61,14 @@ def test_bench_cli_calls_parse():
 
 def test_scan_accepts_jobs():
     assert simplicity.scan([], jobs=2).overall == simplicity.CONSISTENT
+
+
+def test_library_needs_only_the_standard_library():
+    # ``python -S`` leaves site-packages off the path; the pytest check shows that it did.
+    code = (
+        "import importlib.util; assert importlib.util.find_spec('pytest') is None; "
+        "import nefslope, nefslope.cli, nefslope.simplicity, nefslope.generators"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")

@@ -115,13 +115,19 @@ class TestCertifyCommand:
         assert code == 0
         assert (payload["p"], payload["q"]) == ("1", "3")
 
-    def test_ignores_width(self, capsys, monkeypatch):
-        # certify never refines, so an unparsable width must not reach it
-        argv = ["certify", "--input", SURFACE_IRRATIONAL]
-        expected = run(capsys, argv)
-        monkeypatch.setenv("NEFSLOPE_WIDTH", "abc")
-        assert run(capsys, argv) == expected
-        assert expected[0] == 0
+    def test_rejects_width(self, capsys):
+        # Only slope refines, so certify and the other subcommands take no --width.
+        for argv in (
+            ["certify", "--input", SURFACE_IRRATIONAL],
+            ["nef", "--input", SURFACE_IRRATIONAL],
+            ["bound", "--input", SURFACE_IRRATIONAL],
+            ["scan", "--input", f"[{SURFACE_IRRATIONAL}]"],
+            ["gen", "--kind", "surface", "--seed", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--width", "1/4"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --width 1/4" in capsys.readouterr().err
 
     def test_infinite_is_precondition_violation(self, capsys):
         code, payload, err = run(capsys, ["certify", "--input", '{"n": 2, "v": [2, -3, 2]}'])
@@ -261,8 +267,9 @@ class TestErrorHandling:
             (["--input", SURFACE_IRRATIONAL, "--width", "1e-3000000"], "width:"),
             (["--input", '{"n": 2, "Ln": "2", "F": [[1, 2], [3, 1]]}'], "F[1][0]:"),
             (["--input", '{"n": 2, "Ln": "2", "F": [[1, 2], [2]]}'], "F:"),
-            (["--input", '{"n": -1, "v": []}'], "n: must be a positive integer, got -1"),
-            (["--input", '{"n": 0, "v": [1]}'], "n: must be a positive integer, got 0"),
+            (["--input", '{"n": -1, "v": []}'], "n: must be at least 1, got -1"),
+            (["--input", '{"n": 0, "v": [1]}'], "n: must be at least 1, got 0"),
+            (["--input", '{"n": 2.5, "v": [1, 2, 3]}'], "n: expected an integer, got 2.5"),
             (["--input", "{tmp}/non-utf8.json"], "cannot read input: 'utf-8' codec can't decode"),
             (["--input", "[" * 3000 + "]" * 3000], "malformed JSON: arrays and objects are nested too deeply"),
         ],
@@ -279,6 +286,7 @@ class TestErrorHandling:
             "ragged-matrix",
             "n-negative",
             "n-zero",
+            "n-float",
             "non-utf8-file",
             "deep-nesting",
         ],
@@ -368,16 +376,16 @@ class TestErrorHandling:
     def test_syntactic_violation(self, capsys):
         code, _, err = run(capsys, ["slope", "--input", '{"n": 2, "v": [0, 1, -2]}'])
         assert code == 2
-        assert err.startswith("input error: v[2]: L^n must be positive, got -2")
+        assert err.startswith("input error: v[2]: must be at least 1, got -2")
 
     @pytest.mark.parametrize("command", ["slope", "nef", "certify", "bound", "scan"])
     @pytest.mark.parametrize(
         "instance,message",
         [
-            ({"n": 2, "v": [0, 1, -2]}, "input error: v[2]: L^n must be positive, got -2"),
-            ({"n": 1, "v": ["5", "0"]}, "input error: v[1]: L^n must be positive, got 0"),
-            ({"n": 2, "Ln": "0", "F": [["1", "0"], ["0", "0"]]}, "input error: L^n must be a positive integer, got 0"),
-            ({"n": 1, "Ln": -3, "F": [["1"]]}, "input error: L^n must be a positive integer, got -3"),
+            ({"n": 2, "v": [0, 1, -2]}, "input error: v[2]: must be at least 1, got -2"),
+            ({"n": 1, "v": ["5", "0"]}, "input error: v[1]: must be at least 1, got 0"),
+            ({"n": 2, "Ln": "0", "F": [["1", "0"], ["0", "0"]]}, "input error: L^n: must be at least 1, got 0"),
+            ({"n": 1, "Ln": -3, "F": [["1"]]}, "input error: L^n: must be at least 1, got -3"),
         ],
         ids=["profile-negative-top", "profile-zero-top", "matrix-zero-top", "matrix-negative-top"],
     )

@@ -70,7 +70,7 @@ class TestGenSurface:
         with pytest.raises(InputError):
             gen_surface(0, 1, 0)
         # A negative L^2 is refused as an input error before the index inequality is read.
-        with pytest.raises(InputError, match=r"^v\[2\]: L\^n must be positive, got -1$"):
+        with pytest.raises(InputError, match=r"^v\[2\]: must be at least 1, got -1$"):
             gen_surface(-1, 0, -5)
 
     def test_hodge_message_past_string_limit(self):

@@ -75,11 +75,12 @@ class TestProfileFromMatrix:
     @pytest.mark.parametrize(
         "args,message",
         [
-            ((-(10**5000), (), 1), "matrix model dimension must be a positive integer, got <16610-bit integer>"),
-            ((1, ((0,),), -(10**5000)), "L^n must be a positive integer, got <16610-bit integer>"),
-            ((1, ((0,),), Fraction(10**5000, 3)), "L^n must be a positive integer, got Fraction(<16610-bit integer>, 3)"),
+            ((-(10**5000), (), 1), "n: must be at least 1, got <16610-bit integer>"),
+            ((1, ((0,),), -(10**5000)), "L^n: must be at least 1, got <16610-bit integer>"),
+            ((1, ((0,),), Fraction(10**5000, 3)), "L^n: expected an integer, got Fraction(<16610-bit integer>, 3)"),
+            ((10**5000, ((0,),), 1), "F: expected a <16610-bit integer>x<16610-bit integer> matrix"),
         ],
-        ids=["huge-negative-n", "huge-negative-top", "huge-fraction-top"],
+        ids=["huge-negative-n", "huge-negative-top", "huge-fraction-top", "huge-n"],
     )
     def test_message_past_string_limit(self, args, message):
         with pytest.raises(InputError) as exc:
@@ -127,9 +128,9 @@ class TestCharpoly:
         assert charpoly(()) == (Fraction(1),)
 
     def test_ragged_rejected(self):
-        # The inner products stop at the shorter row, so the square check must come first.
+        # The inner products stop at the shorter row, so the matrix reader checks the shape first.
         for rows in ([[1, 2], [2]], [[1], [2, 3]], [[1, 2], [3, 4, 5]]):
-            with pytest.raises(InputError, match="matrix must be square"):
+            with pytest.raises(InputError, match=r"^F: expected a 2x2 matrix$"):
                 charpoly(frac_rows(rows))
 
     @pytest.mark.parametrize(
@@ -148,6 +149,24 @@ class TestCharpoly:
         # charpoly and the matrix model accept the same entries, with the same message.
         with pytest.raises(InputError) as exc:
             build(rows)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "build,value,message",
+        [
+            pytest.param(build, value, message, id=prefix + kind)
+            for build, prefix in ((charpoly, ""), (lambda f: SymMatrixModel(1, f, 1), "model-"))
+            for kind, value, message in [
+                ("int-matrix", 5, "F: expected a sequence of rows, got 5"),
+                ("none-matrix", None, "F: expected a sequence of rows, got None"),
+                ("int-row", [5], "F[0]: expected a sequence of entries, got 5"),
+            ]
+        ],
+    )
+    def test_non_sequence_rejected(self, build, value, message):
+        # A matrix or row that is not a sequence is named, as a bad entry is.
+        with pytest.raises(InputError) as exc:
+            build(value)
         assert str(exc.value) == message
 
     def test_int_and_fraction_entries(self):
@@ -214,9 +233,9 @@ class TestValidate:
         "args,message",
         [
             ((2, (Fraction(10**5000, 3), 1, 1)), "v[0]: expected an integer, got Fraction(<16610-bit integer>, 3)"),
-            ((-(10**5000), (1,)), "n: must be a positive integer, got <16610-bit integer>"),
+            ((-(10**5000), (1,)), "n: must be at least 1, got <16610-bit integer>"),
             ((10**5000, (1,)), "v: expected n + 1 = <16610-bit integer> entries, got 1"),
-            ((2, (1, 1, -(10**5000))), "v[2]: L^n must be positive, got <16610-bit integer>"),
+            ((2, (1, 1, -(10**5000))), "v[2]: must be at least 1, got <16610-bit integer>"),
         ],
         ids=["huge-fraction-entry", "huge-negative-n", "huge-n", "huge-negative-top"],
     )
@@ -228,13 +247,13 @@ class TestValidate:
     @pytest.mark.parametrize(
         "args,message",
         [
-            ((2, (0, 1, -2)), "v[2]: L^n must be positive, got -2"),
-            ((2, (0, 1, 0)), "v[2]: L^n must be positive, got 0"),
+            ((2, (0, 1, -2)), "v[2]: must be at least 1, got -2"),
+            ((2, (0, 1, 0)), "v[2]: must be at least 1, got 0"),
             ((2, (Fraction(1, 3), 1.5, 1)), "v[0]: expected an integer, got Fraction(1, 3)"),
             ((2, (0, 1.5, 1)), "v[1]: expected an integer, got 1.5"),
             ((2, (0, 1, True)), "v[2]: expected an integer, got True"),
-            (("2", (1,)), "n: must be a positive integer, got '2'"),
-            ((0, (1,)), "n: must be a positive integer, got 0"),
+            (("2", (1,)), "n: expected an integer, got '2'"),
+            ((0, (1,)), "n: must be at least 1, got 0"),
             ((2, (1, 2)), "v: expected n + 1 = 3 entries, got 2"),
             ((2, None), "v: expected a sequence of integers, got None"),
         ],

@@ -51,10 +51,10 @@ class TestNormClass:
     @pytest.mark.parametrize(
         "args,message",
         [
-            ((10**5000, 0, 1), "subtorus dimension must be in [1, <16610-bit integer>], got 0"),
-            ((3, 10**5000, 1), "subtorus dimension must be in [1, 2], got <16610-bit integer>"),
-            ((3, 1, -(10**5000)), "exponent must be positive, got <16610-bit integer>"),
-            ((3, 1, 0), "exponent must be positive, got 0"),
+            ((10**5000, 0, 1), "sub_dim: must be in [1, <16610-bit integer>], got 0"),
+            ((3, 10**5000, 1), "sub_dim: must be in [1, 2], got <16610-bit integer>"),
+            ((3, 1, -(10**5000)), "exponent: must be at least 1, got <16610-bit integer>"),
+            ((3, 1, 0), "exponent: must be at least 1, got 0"),
             ((3, 1, 1.5), "exponent: expected an integer, got 1.5"),
             ((3, "1", 1), "sub_dim: expected an integer, got '1'"),
             ((3.0, 1, 1), "n: expected an integer, got 3.0"),
