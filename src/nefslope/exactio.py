@@ -47,7 +47,7 @@ def parse_int(value: int | str, field: str) -> int:
 
 
 def parse_rational(value: int | str, field: str) -> Fraction:
-    if _is_int(value):
+    if is_int(value):
         return Fraction(value)
     if not isinstance(value, str):
         raise InputError(f"{field}: expected a rational or 'p/q' string, got {value!r}")
@@ -108,13 +108,13 @@ def describe(x) -> str:
         return f"<{type(x).__name__}>"
 
 
-def _is_int(x) -> bool:
+def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def require_int(value, field: str, least: int | None = None, most: int | None = None) -> int:
     """``value`` if a plain ``int`` in ``[least, most]`` (``most`` needs ``least``), else an input error."""
-    if not _is_int(value):
+    if not is_int(value):
         raise InputError(f"{field}: expected an integer, got {describe(value)}")
     if least is not None and (value < least or most is not None and value > most):
         lo = describe_int(least)
@@ -136,7 +136,7 @@ def read_matrix(value, n: int | None = None) -> tuple[tuple[int | Fraction, ...]
     rows = tuple(require_seq(row, f"F[{i}]", "entries") for i, row in enumerate(require_seq(value, "F", "rows")))
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            if not _is_int(x) and not isinstance(x, Fraction):
+            if not is_int(x) and not isinstance(x, Fraction):
                 raise InputError(f"F[{i}][{j}]: expected an integer or a Fraction, got {describe(x)}")
     n = len(rows) if n is None else n
     if len(rows) != n or any(len(row) != n for row in rows):

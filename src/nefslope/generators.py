@@ -16,10 +16,10 @@ Three kinds of instances are generated:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
 
 from .errors import HodgeViolation, InputError
 from .exactio import require_int

@@ -20,11 +20,11 @@ vector is a first-class input; realizability checks stay opt-in through
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Sequence
 
 from .errors import AsymmetricInput, InputError, NonIntegralProfile
 from .exactio import describe_int, format_int, format_rational, parse_int, parse_rational

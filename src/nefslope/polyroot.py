@@ -20,13 +20,15 @@ integer Horner at a point ``(a : b)``, ``b >= 0``, with +-infinity as
   power-of-two Fujiwara bound, and a narrowing by more than 64 bits runs
   quadratic interval refinement (QIR; Abbott, 2014), while shorter ones
   and ``clear_lower_end`` bisect;
-* ``candidate_rows`` -- the certificate trace in integers: a row
-  ``(r, s, num, den)`` per positive quotient r/s (r | c_0, s | c_d), with
-  ``p(r/s) = num/den``, from divisors by Pollard-Brent factoring with
-  proven primality (a cofactor neither proven prime nor split is refused
-  with :class:`InputError`); ``positive_root_candidates`` is the
-  ``Fraction`` view of the quotients, ``rational_root_candidates`` appends
-  the negatives, ``rational_roots`` keeps the roots among them;
+* one divisor walk, ``_positive_points``: it strips the zero roots and
+  lists the coprime quotients ``(r, s)``, r | c_0 and s | c_d, of the core,
+  from divisors by Pollard-Brent factoring with proven primality (a
+  cofactor neither proven prime nor split is refused with
+  :class:`InputError`).  ``candidate_rows``, the certificate trace, gives a
+  row ``(r, s, num, den)`` per point with ``p(r/s) = num/den``;
+  ``rational_root_candidates`` lists the quotients and their negatives;
+  ``rational_roots`` keeps those where the core vanishes at ``(+-r : s)``,
+  and 0 if zero roots were stripped;
 * ``cauchy_bound`` -- the classical radius ``1 + max |c_k / c_d|``
   enclosing every root.
 
@@ -41,17 +43,14 @@ field is set; no numeric equality test against rationals is ever needed.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, gcd, isinf, isqrt, lcm
-from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import InputError
-from .exactio import describe_int, format_int, format_rational
-
-if TYPE_CHECKING:
-    from .numdata import IntersectionProfile
+from .exactio import describe_int, format_int, format_rational, is_int
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -77,20 +76,22 @@ class IntPolynomial:
 
     def __post_init__(self):
         for c in self.coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int and not is_int(c):  # the hot path calls nothing for an exact int
                 raise TypeError(f"coefficients must be exact integers, got {c!r}")
         if self.coeffs and self.coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero (use IntPolynomial.of)")
 
     @classmethod
     def of(cls, coeffs: Iterable[int | Fraction]) -> "IntPolynomial":
-        """Build from any integral coefficient sequence, stripping trailing zeros."""
+        """Build from any integral coefficient sequence but ``bool``, stripping trailing zeros."""
         out = []
         for c in coeffs:
             if isinstance(c, Fraction):
                 if c.denominator != 1:
                     raise ValueError(f"non-integral coefficient {c}")
                 c = c.numerator
+            elif isinstance(c, bool):
+                raise TypeError(f"coefficients must be exact integers, got {c!r}")
             out.append(operator.index(c))
         while out and out[-1] == 0:
             out.pop()
@@ -109,7 +110,7 @@ class IntPolynomial:
         return Fraction(_scaled_value(self, x.numerator, x.denominator), x.denominator ** max(self.degree, 0))
 
     def derivative(self) -> "IntPolynomial":
-        return IntPolynomial.of(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
     def reversed_coeffs(self) -> "IntPolynomial":
         """Coefficient reversal; maps every nonzero root to its reciprocal."""
@@ -388,30 +389,20 @@ def _divisors(m: int) -> list[int]:
     return sorted(divs)
 
 
-def _strip_zero_roots(p: IntPolynomial) -> tuple[IntPolynomial, int]:
-    k = 0
-    while k <= p.degree and p.coeffs[k] == 0:
-        k += 1
-    return IntPolynomial(p.coeffs[k:]), k
-
-
-def _positive_points(p: IntPolynomial) -> list[tuple[int, int]]:
-    """The distinct positive candidates r/s with r | c_0 and s | c_d, descending,
-    as coprime ``(r, s)``: zero roots are stripped first, and over ``D = |c_d|``
-    each is ``k/D`` with the integer key ``k = r (D/s)``, so the candidates are
-    deduplicated and ordered as integers, and one gcd per key reduces it."""
-    core, _ = _strip_zero_roots(p)
+def _positive_points(p: IntPolynomial) -> tuple[IntPolynomial, list[tuple[int, int]]]:
+    """The core of ``p``, its zero roots stripped, and the distinct positive
+    candidates r/s with r | c_0 and s | c_d of the core, descending, as coprime
+    ``(r, s)``: over ``D = |c_d|`` each is ``k/D`` with the integer key ``k = r
+    (D/s)``, so the candidates are deduplicated and ordered as integers, and
+    one gcd per key reduces it."""
+    zeros = next((k for k, c in enumerate(p.coeffs) if c), 0)
+    core = IntPolynomial(p.coeffs[zeros:])
     if core.degree < 1:
-        return []
+        return core, []
     lead = abs(core.coeffs[-1])
     nums, dens = _divisors(core.coeffs[0]), _divisors(lead)
     keys = {r * (lead // s) for r in nums for s in dens}
-    return [(k // (g := gcd(k, lead)), lead // g) for k in sorted(keys, reverse=True)]
-
-
-def positive_root_candidates(p: IntPolynomial) -> tuple[Fraction, ...]:
-    """The distinct positive candidates r/s with r | c_0 and s | c_d, descending."""
-    return tuple(Fraction(r, s) for r, s in _positive_points(p))
+    return core, [(k // (g := gcd(k, lead)), lead // g) for k in sorted(keys, reverse=True)]
 
 
 def candidate_rows(p: IntPolynomial) -> tuple[tuple[int, int, int, int], ...]:
@@ -419,7 +410,7 @@ def candidate_rows(p: IntPolynomial) -> tuple[tuple[int, int, int, int], ...]:
     ``p(r/s) = num/den``; each is ``s^d p(r/s)`` at ``(r : s)`` over ``s^d``,
     reduced by one gcd, so both fractions are in lowest terms."""
     rows, d = [], max(p.degree, 0)
-    for r, s in _positive_points(p):
+    for r, s in _positive_points(p)[1]:
         num, den = _scaled_value(p, r, s), s**d
         g = gcd(num, den)
         rows.append((r, s, num // g, den // g))
@@ -433,19 +424,19 @@ def rational_root_candidates(p: IntPolynomial) -> tuple[Fraction, ...]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    positive = positive_root_candidates(p)
+    positive = tuple(Fraction(r, s) for r, s in _positive_points(p)[1])
     return positive + tuple(-c for c in reversed(positive))
 
 
 def rational_roots(p: IntPolynomial) -> tuple[Fraction, ...]:
-    """All rational roots of ``p`` in lowest terms, descending."""
+    """All rational roots of ``p`` in lowest terms, descending: the candidates
+    ``+-r/s`` where the core vanishes at ``(+-r : s)``, and 0 if ``c_0 = 0``."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    core, zeros = _strip_zero_roots(p)
-    roots = [c for c in rational_root_candidates(p) if core(c) == 0]
-    if zeros > 0:
-        roots.append(Fraction(0))
-    return tuple(sorted(roots, reverse=True))
+    core, points = _positive_points(p)
+    above = [Fraction(r, s) for r, s in points if _scaled_value(core, r, s) == 0]
+    below = [Fraction(-r, s) for r, s in reversed(points) if _scaled_value(core, -r, s) == 0]
+    return tuple(above + [Fraction(0)] * (p.coeffs[0] == 0) + below)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +625,7 @@ def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:
             raise ZeroDivisionError("reciprocal of zero")
         return AlgebraicNumber.from_rational(1 / a.exact)
     lo, hi = a.interval
-    rev = _primitive(a.minpoly_factor.reversed_coeffs().coeffs, positive_lead=True)
+    rev = _primitive(reversed(a.minpoly_factor.coeffs), positive_lead=True)
     return AlgebraicNumber(rev, (1 / hi, 1 / lo))
 
 
@@ -704,6 +695,4 @@ def chi_polynomial(profile: "IntersectionProfile") -> IntPolynomial:
     divisor certificates read off these two coefficients.
     """
     n, v = profile.n, profile.v
-    return IntPolynomial.of(
-        (-1) ** (n - k) * comb(n, k) * v[k] for k in range(n + 1)
-    )
+    return IntPolynomial(tuple((-1) ** (n - k) * comb(n, k) * v[k] for k in range(n + 1)))

@@ -11,18 +11,18 @@ scan can never prove simplicity, and the report wording reflects that.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable
 
 from .errors import InconsistentContext
 from .exactio import describe_int, format_rational, require_int
 from .numdata import (
     IntersectionProfile,
     SymMatrixModel,
-    _berkowitz,
     binary_profile,
+    charpoly,
     is_proportional,
     profile_from_matrix,
 )
@@ -193,8 +193,7 @@ def kernel_rank(m: SymMatrixModel, slope_value: Fraction) -> int:
     """Nullity of the boundary endomorphism; in [1, n-1] for a genuine witness.
 
     ``q I - p F`` is symmetric, hence diagonalizable, so its nullity is the
-    multiplicity of 0 as a root of its characteristic polynomial: the number
-    of vanishing low-order Berkowitz coefficients.
+    multiplicity of 0 as a root of its characteristic polynomial: the index
+    of its first nonzero coefficient.
     """
-    _, c = _berkowitz(boundary_endomorphism(m, slope_value))
-    return next(k for k, ck in enumerate(c) if ck)
+    return next(k for k, ck in enumerate(charpoly(boundary_endomorphism(m, slope_value))) if ck)

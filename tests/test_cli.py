@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -216,6 +217,18 @@ class TestGenCommand:
         code, payload, _ = run(capsys, ["scan", "--input", str(path)])
         assert code == 10
 
+    @pytest.mark.parametrize(
+        "kind, code, message",
+        [("rational-matrix", 10, "(4 witness(es), 4 instance(s))"), ("surface", 2, "instances disagree on L^n")],
+    )
+    def test_gen_pipes_into_scan_stdin(self, capsys, monkeypatch, kind, code, message):
+        # The README pipe `gen | scan --input -`: matrix kinds share L^n = n!, while each
+        # surface draws its own L^2, and one scan needs one L^n.
+        assert main(["gen", "--kind", kind, "--seed", "3", "--count", "4", "--n", "3"]) == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+        assert main(["scan", "--input", "-"]) == code
+        assert message in capsys.readouterr().err
+
     def test_kinds_match_generators(self):
         # The parser spells the kinds out so that start-up does not import generators.
         from nefslope import generators
@@ -401,14 +414,13 @@ class TestErrorHandling:
 #: CPython 3.11, recorded when start-up was last measured.
 CLI_IMPORTS = frozenset("""
     __future__ _ast _collections _collections_abc _decimal _functools _json _opcode _operator _sre
-    _stat _typing _weakrefset argparse ast collections collections.abc contextlib copy copyreg
+    _stat _weakrefset argparse ast collections collections.abc contextlib copy copyreg
     dataclasses decimal dis enum fractions functools genericpath gettext importlib
     importlib._bootstrap importlib._bootstrap_external importlib.machinery inspect itertools json
     json.decoder json.encoder json.scanner keyword linecache math nefslope nefslope.cli
     nefslope.errors nefslope.exactio nefslope.numdata nefslope.polyroot nefslope.slope numbers
     opcode operator os os.path posixpath re re._casefix
-    re._compiler re._constants re._parser reprlib stat token tokenize types typing typing.io
-    typing.re warnings weakref
+    re._compiler re._constants re._parser reprlib stat token tokenize types warnings weakref
 """.split())
 
 

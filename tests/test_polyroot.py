@@ -59,10 +59,16 @@ class TestIntPolynomial:
         with pytest.raises(ValueError):
             P([Fraction(1, 2)])
 
-    @pytest.mark.parametrize("coeffs", [[1.5, 2], ["3"]], ids=["float", "string"])
+    @pytest.mark.parametrize(
+        "coeffs", [[1.5, 2], ["3"], [True, False, 2], [1, False]], ids=["float", "string", "bool", "bool-lead"]
+    )
     def test_of_rejects_non_integer_types(self, coeffs):
         with pytest.raises(TypeError):
             P(coeffs)
+
+    def test_constructor_rejects_bool(self):
+        with pytest.raises(TypeError, match="^coefficients must be exact integers, got True$"):
+            IntPolynomial((True, 1))
 
     def test_of_accepts_integer_types(self):
         (c,) = P([np.int64(3)]).coeffs
@@ -392,6 +398,23 @@ class TestRationalRoots:
             coeffs[-1] = rng.in_range(1, 10 ** rng.in_range(1, 6)) * (-1 if rng.below(2) else 1)
             p = P([0] * rng.below(3) + coeffs)
             assert rational_root_candidates(p) == _reference_candidates(p), p
+
+    def test_roots_complete_against_sympy(self):
+        # A random cofactor times linear factors s u - r, each to the power 1
+        # to 3, so roots are zero, negative, repeated and non-integral; every
+        # rational root must be found, as the linear factors over Q list them.
+        rng, u, seen = SplitMix64(6151), sympy.Symbol("u"), set()
+        for _ in range(200):
+            p = P([rng.in_range(-50, 50) for _ in range(rng.in_range(1, 4))] + [rng.in_range(-9, 9) or 1])
+            for _ in range(rng.below(5)):
+                r, s, power = rng.in_range(-12, 12), rng.in_range(1, 6), rng.in_range(1, 3)
+                seen |= {r == 0 and "zero", r < 0 and "negative", power > 1 and "repeated", r % s != 0 and "non-integral"}
+                for _ in range(power):
+                    p = _mul(p, IntPolynomial((-r, s)))
+            factors = sympy.Poly(p.coeffs[::-1], u).factor_list()[1]
+            expected = {-Fraction(int(f.coeff_monomial(1)), int(f.LC())) for f, _ in factors if f.degree() == 1}
+            assert rational_roots(p) == tuple(sorted(expected, reverse=True)), p
+        assert {"zero", "negative", "repeated", "non-integral"} <= seen
 
     @given(st.lists(st.integers(-60, 60), min_size=2, max_size=8))
     def test_roots_satisfy_divisor_conditions(self, coeffs):

@@ -341,6 +341,12 @@ class TestSlopeComparisons:
         assert slope_at_least(result, Fraction(38, 100))
         assert not slope_at_least(result, Fraction(39, 100))
 
+    def test_slope_at_least_infinite(self):
+        # An infinite threshold is at least every bound.
+        result = slope(surface(2, -3, 2))
+        assert result.infinite
+        assert slope_at_least(result, Fraction(10**30))
+
     def test_zeta_sign_certificate(self):
         result = slope(surface(2, 3, 2))
         assert compare_with_rational(result.max_root, 0) == 1
