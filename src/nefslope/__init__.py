@@ -9,7 +9,6 @@ level.
 
 from .errors import (
     AsymmetricInput,
-    HodgeViolation,
     InconsistentContext,
     InputError,
     NefslopeError,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraicNumber",
     "AsymmetricInput",
-    "HodgeViolation",
     "InconsistentContext",
     "InputError",
     "IntersectionProfile",

@@ -234,11 +234,8 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except InputError as exc:
+    except NefslopeError as exc:  # every other package error is an InputError
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NefslopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

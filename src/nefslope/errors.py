@@ -34,9 +34,5 @@ class AsymmetricInput(InputError):
     """Matrix entries do not form a symmetric matrix."""
 
 
-class HodgeViolation(PreconditionError):
-    """Surface intersection numbers violate the index inequality (L.M)^2 >= L^2 M^2."""
-
-
 class InconsistentContext(InputError):
     """Scanned instances disagree on the shared top self-intersection of the polarization."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import HodgeViolation, InputError
+from .errors import InputError
 from .exactio import require_int
 from .numdata import IntersectionProfile, SymMatrixModel, hodge_violation
 
@@ -83,14 +83,6 @@ class GenSpec:
 def gen_product(n: int, entries: Sequence[Sequence[int]]) -> SymMatrixModel:
     """Matrix model on an n-fold elliptic product; ``L^n = n!``."""
     return SymMatrixModel(n, entries, factorial(n))
-
-
-def gen_surface(l2: int, lm: int, m2: int) -> IntersectionProfile:
-    """Surface profile ``(M^2, L.M, L^2)``; rejects index-inequality violations."""
-    profile = IntersectionProfile(2, (m2, lm, l2))
-    if violation := hodge_violation(profile):
-        raise HodgeViolation(violation.message)
-    return profile
 
 
 def _draw_surface(rng: SplitMix64, bound: int) -> IntersectionProfile:

@@ -112,10 +112,6 @@ class IntPolynomial:
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
-    def reversed_coeffs(self) -> "IntPolynomial":
-        """Coefficient reversal; maps every nonzero root to its reciprocal."""
-        return IntPolynomial.of(reversed(self.coeffs))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -351,18 +347,24 @@ def _rho(n: int) -> int:
     raise ArithmeticError(f"no factor of {n} found")
 
 
+#: Bits past which trial division's cofactor is refused: rho and Miller-Rabin cost more per bit.
+_FACTOR_BITS = 256
+
+
 def _prime_factors(m: int) -> list[int]:
     """The prime factors of ``m > 0`` with multiplicity, by trial division
     until ``d^2`` passes the shrinking cofactor, which leaves 1 or a prime.
-    At ``d = 1001`` the cofactor has one outcome: a Miller-Rabin base
-    witnesses it composite and :func:`_rho` splits it, or refuses it past
-    ``_RHO_BUDGET`` squarings; or no base 2..41 does below ``_MR_PROVEN``,
-    and it is prime; or no base 2..999 does at or above that bound, and
-    :class:`InputError` refuses it, because no verdict rests on a
-    probabilistic test."""
+    At ``d = 1001`` a cofactor past ``_FACTOR_BITS`` is refused, and a smaller
+    one has one outcome: a Miller-Rabin base witnesses it composite and
+    :func:`_rho` splits it, or refuses it past ``_RHO_BUDGET`` squarings; or
+    no base 2..41 does below ``_MR_PROVEN``, and it is prime; or no base
+    2..999 does at or above that bound, and :class:`InputError` refuses it,
+    because no verdict rests on a probabilistic test."""
     primes, d = [], 2
     while d * d <= m:
         if d == 1001:
+            if (bits := m.bit_length()) > _FACTOR_BITS:
+                raise InputError(f"divisor trace: a cofactor of {bits} bits passes the {_FACTOR_BITS}-bit limit")
             proven = m < _MR_PROVEN
             if any(_witnessed_composite(m, a) for a in (_MR_BASES if proven else range(2, 1000))):
                 g = _rho(m)

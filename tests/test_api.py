@@ -1,9 +1,12 @@
 """The top-level API: every exported name, and every name the benchmark imports,
-resolves, the CLI and ``scan`` accept the calls the benchmark makes, and the
-library imports from the standard library alone."""
+resolves, the CLI and ``scan`` accept the calls the benchmark makes, the
+README's library example prints what its comments say, and the library
+imports from the standard library alone."""
 
 import ast
+import contextlib
 import importlib
+import io
 import os
 import subprocess
 import sys
@@ -72,3 +75,21 @@ def test_library_needs_only_the_standard_library():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_readme_library_example_prints_its_comments():
+    # Each print line's output is the ``#`` comment on that line or, when the
+    # line has none, the comment line below it.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    expected = []
+    for i, line in enumerate(lines):
+        if line.startswith("print("):
+            comment = line.partition("# ")[2] or lines[i + 1].strip().removeprefix("# ")
+            expected.append(comment.strip())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert len(expected) == 4
+    assert out.getvalue().splitlines() == expected

@@ -285,6 +285,8 @@ class TestErrorHandling:
             (["--input", '{"n": 2.5, "v": [1, 2, 3]}'], "n: expected an integer, got 2.5"),
             (["--input", "{tmp}/non-utf8.json"], "cannot read input: 'utf-8' codec can't decode"),
             (["--input", "[" * 3000 + "]" * 3000], "malformed JSON: arrays and objects are nested too deeply"),
+            (["--input", '{"n": 2, "v": ["x", 3, 2]}'], "v[0]: not a decimal integer: 'x'"),
+            (["--input", '{"n": 2, "F": [["1","0"],["0","0"]]}'], "matrix JSON must be an object with 'n', 'Ln' and 'F'"),
         ],
         ids=[
             "null-array",
@@ -302,6 +304,8 @@ class TestErrorHandling:
             "n-float",
             "non-utf8-file",
             "deep-nesting",
+            "non-decimal-entry",
+            "matrix-without-Ln",
         ],
     )
     def test_typed_input_error(self, capsys, tmp_path, command, field):
@@ -385,6 +389,19 @@ class TestErrorHandling:
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("input error: divisor trace: cannot split a composite cofactor of 94 bits")
         assert "within 2097152 squarings" in captured.err
+
+    @pytest.mark.parametrize("command", ["slope", "certify"])
+    def test_cofactor_past_bit_limit_in_trace(self, capsys, command):
+        # M^2 = 10^1300 + 7 leaves a cofactor of thousands of bits after
+        # trial division, which is refused before Miller-Rabin or rho runs.
+        profile = json.dumps({"n": 2, "v": [str(10**1300 + 7), str(10**651), "2"]})
+        start = time.perf_counter()
+        code = main([command, "--input", profile])
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("input error: divisor trace: a cofactor of ")
+        assert "bits passes the 256-bit limit" in captured.err
 
     def test_syntactic_violation(self, capsys):
         code, _, err = run(capsys, ["slope", "--input", '{"n": 2, "v": [0, 1, -2]}'])

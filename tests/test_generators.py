@@ -2,16 +2,17 @@
 
 import pytest
 
-from nefslope.errors import AsymmetricInput, HodgeViolation, InputError
+from nefslope.errors import AsymmetricInput, InputError
 from nefslope.generators import (
     GenSpec,
     SplitMix64,
     gen_product,
     gen_random,
-    gen_surface,
 )
 from nefslope.numdata import (
+    IntersectionProfile,
     ValidationLevel,
+    hodge_violation,
     profile_from_matrix,
     validate,
 )
@@ -55,28 +56,34 @@ class TestGenProduct:
 
 
 class TestGenSurface:
+    """Surface profiles ``(M^2, L.M, L^2)``, as ``gen --kind surface`` draws them."""
+
     def test_irrational_example(self):
-        profile = gen_surface(2, 3, 2)
+        profile = IntersectionProfile(2, (2, 3, 2))
+        assert hodge_violation(profile) is None
         assert isinstance(slope(profile).rationality, IrrationalSlope)
 
     def test_rational_example(self):
-        assert slope(gen_surface(3, 5, 3)).slope_fraction.denominator == 3
+        profile = IntersectionProfile(2, (3, 5, 3))
+        assert hodge_violation(profile) is None
+        assert slope(profile).slope_fraction.denominator == 3
 
     def test_hodge_violation(self):
-        with pytest.raises(HodgeViolation):
-            gen_surface(2, 1, 2)
+        report = validate(IntersectionProfile(2, (2, 1, 2)), ValidationLevel.SURFACE_HODGE)
+        # On a surface the index inequality fails exactly when chi has no real root.
+        assert [v.check for v in report.violations] == ["real-rooted", "hodge-index"]
+        assert report.violations[1].message == "(L.M)^2 = 1 < L^2 M^2 = 4"
 
     def test_needs_polarization(self):
         with pytest.raises(InputError):
-            gen_surface(0, 1, 0)
+            IntersectionProfile(2, (0, 1, 0))
         # A negative L^2 is refused as an input error before the index inequality is read.
         with pytest.raises(InputError, match=r"^v\[2\]: must be at least 1, got -1$"):
-            gen_surface(-1, 0, -5)
+            IntersectionProfile(2, (-5, 0, -1))
 
     def test_hodge_message_past_string_limit(self):
-        with pytest.raises(HodgeViolation) as exc:
-            gen_surface(10**5000, 0, 10**5000)
-        assert str(exc.value) == "(L.M)^2 = 0 < L^2 M^2 = <33220-bit integer>"
+        violation = hodge_violation(IntersectionProfile(2, (10**5000, 0, 10**5000)))
+        assert violation.message == "(L.M)^2 = 0 < L^2 M^2 = <33220-bit integer>"
 
 
 class TestGenRandom:

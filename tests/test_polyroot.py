@@ -761,11 +761,19 @@ class TestRefine:
         assert in_interval_surd(lo, hi, Fraction(0), Fraction(1), 3)
 
     @pytest.mark.parametrize(
-        "coeffs,root", [([-5, 8], Fraction(5, 8)), ([-(2**80 + 1), 2**80], 1 + Fraction(1, 2**80)), ([-1, 3], None)]
+        "coeffs,root",
+        [
+            ([-5, 8], Fraction(5, 8)),
+            ([-(2**80 + 1), 2**80], 1 + Fraction(1, 2**80)),
+            ([-1, 3], None),
+            ([9, -9, -1, 1], Fraction(1)),
+        ],
     )
     def test_qir_grid_point_root_is_exact(self, coeffs, root):
         # A dyadic root is a grid point, which QIR evaluates and returns
-        # exact; 1/3 is none and keeps a narrowed interval.
+        # exact; 1/3 is none and keeps a narrowed interval.  For (u - 1)
+        # (u^2 - 9) the secant's guess misses 1, which is then the second
+        # grid point checked.
         tight = refine(AlgebraicNumber(P(coeffs), (Fraction(0), Fraction(2))), Fraction(1, 2**100))
         if root is not None:
             assert tight.exact == root
@@ -869,7 +877,7 @@ class _FractionBisection:
         if a.exact is not None:
             return AlgebraicNumber.from_rational(1 / a.exact)
         lo, hi = a.interval
-        rev = polyroot._primitive(a.minpoly_factor.reversed_coeffs().coeffs, positive_lead=True)
+        rev = polyroot._primitive(IntPolynomial.of(reversed(a.minpoly_factor.coeffs)).coeffs, positive_lead=True)
         return AlgebraicNumber(rev, (1 / hi, 1 / lo))
 
 
