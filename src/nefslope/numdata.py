@@ -194,24 +194,28 @@ def _berkowitz(entries: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[i
     ``det(u I - D F)``, ascending, by the division-free Berkowitz recurrence
     on the integer matrix ``D F``.  ``F`` may be any square matrix, as
     :func:`charpoly` allows, so this one general kernel serves every caller.
-    Bordering the r x r block costs r - 1 matrix-vector products; ``map``
-    stops at its shorter argument, so every caller passes a square ``F``."""
+    Bordering the r x r block costs ceil((r - 1) / 2) matrix-vector products
+    while the bordered block is symmetric, as a model's is, and r - 1 otherwise;
+    ``map`` stops at its shorter argument, so every caller passes a square ``F``."""
     n = len(entries)
     d = lcm(*(x.denominator for row in entries for x in row))
     a = [[x.numerator * (d // x.denominator) for x in row] for row in entries]
     # c: det(u I - A_r) of the leading r x r block, descending.  Bordering it
     # by row r multiplies c by the Toeplitz matrix with first column
-    # (1, -a_rr, -R C, -R A_r C, ..., -R A_r^(r-1) C).
-    c = [1]
+    # (1, -a_rr, -R C, -R A_r C, ..., -R A_r^(r-1) C).  v is A_r^m C, or A_r^(m - m//2) C
+    # while the bordered block is symmetric: then R = C^T and R A_r^m C = (A_r^(m//2) C) . v.
+    c, sym = [1], True
     for r in range(n):
         block = a[:r]
-        col = [row[r] for row in block]
+        v = [row[r] for row in block]
+        krylov, sym = [v], sym and a[r][:r] == v
         t = [1, -a[r][r]]
-        for k in range(r):
-            if k:
-                col = [sum(map(mul, row, col)) for row in block]
-            t.append(-sum(map(mul, a[r], col)))
-        c = [sum(map(mul, t[i::-1], c)) for i in range(r + 2)]
+        for m in range(r):
+            if m and (not sym or m % 2):
+                v = [sum(map(mul, row, v)) for row in block]
+                krylov.append(v)
+            t.append(-sum(map(mul, krylov[m // 2] if sym else a[r], v)))
+        c = [sum(map(mul, t[k::-1], c)) for k in range(r + 2)]
     return d, c[::-1]
 
 

@@ -303,21 +303,20 @@ def _witnessed_composite(n: int, a: int) -> bool:
     return True
 
 
-#: Squarings :func:`_rho` may spend on one cofactor: rounds of ``r = 1, 2, ...,
-#: 2^19`` steps, each counted as its ``2r``.  Products of two 12-digit primes
-#: split in at most 0.9 million squarings, and the strong pseudoprime
-#: ``_MR_PROVEN``, a product of two 13-digit primes, in 1.8 million; past the
-#: budget the trace is refused, after about 1 s on CPython 3.11.
+#: Squarings :func:`_rho` may spend on one factorization, its splits together:
+#: rounds of ``r = 1, 2, ..., 2^19`` steps, each counted as its ``2r``.  Products
+#: of two 12-digit primes split in at most 0.9 million squarings, and the strong
+#: pseudoprime ``_MR_PROVEN``, a product of two 13-digit primes, in 1.8 million;
+#: past the budget the trace is refused, after about 1.4 s on CPython 3.11.
 _RHO_BUDGET = 2**21
 
 
-def _rho(n: int) -> int:
-    """A proper divisor of a composite ``n`` with no factor below 1001, by
-    Brent's rho on ``y -> y^2 + c`` (Brent, BIT 1980): one gcd per 128 steps,
-    a batch that reaches ``n`` replayed step by step, the next ``c`` if that
-    reaches ``n`` too.  A round that would pass ``_RHO_BUDGET`` squarings
-    raises :class:`InputError`."""
-    steps = 0
+def _rho(n: int, steps: int) -> tuple[int, int]:
+    """A proper divisor of a composite ``n`` with no factor below 1001 and the
+    squarings spent, ``steps`` before this call, by Brent's rho on ``y -> y^2 + c``
+    (Brent, BIT 1980): one gcd per 128 steps, a batch that reaches ``n`` replayed
+    step by step, the next ``c`` if that reaches ``n`` too.  A round that would
+    pass ``_RHO_BUDGET`` squarings raises :class:`InputError`."""
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
@@ -343,7 +342,7 @@ def _rho(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = gcd(x - ys, n)
         if g != n:
-            return g
+            return g, steps
     raise ArithmeticError(f"no factor of {n} found")
 
 
@@ -355,26 +354,30 @@ def _prime_factors(m: int) -> list[int]:
     """The prime factors of ``m > 0`` with multiplicity, by trial division
     until ``d^2`` passes the shrinking cofactor, which leaves 1 or a prime.
     At ``d = 1001`` a cofactor past ``_FACTOR_BITS`` is refused, and a smaller
-    one has one outcome: a Miller-Rabin base witnesses it composite and
-    :func:`_rho` splits it, or refuses it past ``_RHO_BUDGET`` squarings; or
-    no base 2..41 does below ``_MR_PROVEN``, and it is prime; or no base
-    2..999 does at or above that bound, and :class:`InputError` refuses it,
-    because no verdict rests on a probabilistic test."""
+    one, and each part it splits into, has one outcome: a Miller-Rabin base
+    witnesses it composite and :func:`_rho` splits it, all splits sharing one
+    ``_RHO_BUDGET``; or no base 2..41 does below ``_MR_PROVEN``, and it is prime;
+    or no base 2..999 does at or above that bound, and :class:`InputError`
+    refuses it, because no verdict rests on a probabilistic test."""
     primes, d = [], 2
     while d * d <= m:
         if d == 1001:
             if (bits := m.bit_length()) > _FACTOR_BITS:
                 raise InputError(f"divisor trace: a cofactor of {bits} bits passes the {_FACTOR_BITS}-bit limit")
-            proven = m < _MR_PROVEN
-            if any(_witnessed_composite(m, a) for a in (_MR_BASES if proven else range(2, 1000))):
-                g = _rho(m)
-                return primes + _prime_factors(g) + _prime_factors(m // g)
-            if not proven:
-                raise InputError(
-                    f"divisor trace: cannot prove a cofactor of {m.bit_length()} bits prime; "
-                    f"Miller-Rabin proves primality only below {_MR_PROVEN}"
-                )
-            break
+            parts, steps = [m], 0
+            while parts:
+                m = parts.pop()
+                if any(_witnessed_composite(m, a) for a in (_MR_BASES if m < _MR_PROVEN else range(2, 1000))):
+                    g, steps = _rho(m, steps)
+                    parts += [g, m // g]
+                elif m < _MR_PROVEN:
+                    primes.append(m)
+                else:
+                    raise InputError(
+                        f"divisor trace: cannot prove a cofactor of {m.bit_length()} bits prime; "
+                        f"Miller-Rabin proves primality only below {_MR_PROVEN}"
+                    )
+            return primes
         while m % d == 0:
             m //= d
             primes.append(d)

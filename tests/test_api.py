@@ -1,12 +1,14 @@
 """The top-level API: every exported name, and every name the benchmark imports,
-resolves, the CLI and ``scan`` accept the calls the benchmark makes, the
-README's library example prints what its comments say, and the library
-imports from the standard library alone."""
+resolves, the CLI and ``scan`` accept the calls the benchmark makes, every
+committed benchmark record names what BENCHMARK.json declares, the README's
+library example prints what its comments say, and the library imports from
+the standard library alone."""
 
 import ast
 import contextlib
 import importlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -48,6 +50,30 @@ def test_bench_imports_resolve():
     names = bench_imports()
     assert "isolate_max_root" in names and "slope" in names
     assert [name for name in names if not resolves(name)] == []
+
+
+def test_bench_records_name_the_benchmark():
+    # Every committed BENCH_*.json claims a workload and metric that
+    # BENCHMARK.json declares, keys its workloads as <workload>@<seed>, and
+    # gives each end-to-end metric it reports a parent and a change median.
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        claim = record["claim"]
+        assert claim["workload"] in workloads and claim["metric"] in metrics, path.name
+        assert record["workloads"], path.name
+        for key, results in record["workloads"].items():
+            workload, _, seed = key.partition("@")
+            assert workload in workloads and seed.isdigit(), (path.name, key)
+            reported = metrics & set(results)
+            assert reported, (path.name, key)
+            for metric in reported:
+                medians = [results[metric][side]["median"] for side in ("parent", "change")]
+                assert all(isinstance(m, (int, float)) for m in medians), (path.name, key, metric)
 
 
 def test_bench_cli_calls_parse():

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nefslope import numdata
 from nefslope.errors import InputError, NonIntegralProfile
 from nefslope.generators import SplitMix64, gen_product
 from nefslope.numdata import (
@@ -186,10 +187,15 @@ class TestCharpoly:
 
     def test_against_sympy_past_ten(self):
         # n = 11..16, general and symmetric, numerators up to 2^64, denominators up
-        # to 12, zero leading blocks of 0, 3 and 10 rows and columns; and 1 x 1 matrices.
+        # to 12, zero leading blocks of 0, 3 and 10 rows and columns; symmetric
+        # n = 17..20 with the same numerators; and 1 x 1 matrices.
         rng = SplitMix64(2718)
         cases = [[[Fraction(x)]] for x in (0, -7, 2**64)]
-        for zeros, bound, symmetric, n in product((0, 3, 10), (20, 2**64), (False, True), range(11, 17)):
+        shapes = [
+            *product((0, 3, 10), (20, 2**64), (False, True), range(11, 17)),
+            *product((0,), (20, 2**64), (True,), range(17, 21)),
+        ]
+        for zeros, bound, symmetric, n in shapes:
             rows = [
                 [Fraction(rng.in_range(-bound, bound), rng.in_range(1, 12)) if min(i, j) >= zeros else Fraction(0)
                  for j in range(n)]
@@ -200,6 +206,49 @@ class TestCharpoly:
             cases.append(rows)
         for rows in cases:
             assert charpoly(frac_rows(rows)) == sympy_charpoly(rows)
+
+    @staticmethod
+    def _moved_entries(rng, n):
+        """A seeded symmetric n x n matrix, then for every i > j a copy with F[i][j] moved."""
+        base = [[Fraction(rng.in_range(-20, 20), rng.in_range(1, 4)) for _ in range(n)] for _ in range(n)]
+        base = [[base[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+        for i in range(1, n):
+            for j in range(i):
+                rows = [row[:] for row in base]
+                rows[i][j] += Fraction(rng.in_range(1, 9), rng.in_range(1, 4)) * (-1) ** rng.below(2)
+                yield i, j, base, rows
+
+    def test_symmetric_but_for_one_entry(self):
+        # Moving F[i][j], i > j, leaves the leading block symmetric only up to
+        # row i - 1, so the kernel's symmetric shortcut must stop at row i.
+        rng = SplitMix64(3571)
+        for n in range(2, 13):
+            for i, j, _, rows in self._moved_entries(rng, n):
+                assert charpoly(frac_rows(rows)) == sympy_charpoly(rows), (n, i, j)
+
+    def test_products_per_step(self, monkeypatch):
+        # Counts the multiplications of the kernel: a matrix-vector product at
+        # step r is r^2 of them.  Moving F[i][j], i > j, of a symmetric matrix
+        # takes each step r >= i from ceil((r - 1) / 2) products to r - 1, and
+        # changes no other count.
+        count = 0
+
+        def counted(x, y):
+            nonlocal count
+            count += 1
+            return x * y
+
+        def multiplications(rows):
+            nonlocal count
+            count = 0
+            charpoly(frac_rows(rows))
+            return count
+
+        monkeypatch.setattr(numdata, "mul", counted)
+        n = 12
+        for i, j, base, rows in self._moved_entries(SplitMix64(6007), n):
+            extra = sum((r - 1 - r // 2) * r * r for r in range(i, n))
+            assert multiplications(rows) - multiplications(base) == extra, (i, j)
 
 
 class TestIsProportional:
