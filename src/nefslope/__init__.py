@@ -44,7 +44,6 @@ from .slope import (
     RationalSlope,
     SlopeResult,
     certify_rationality,
-    is_nef,
     s_invariant,
     slope,
     slope_at_least,
@@ -97,7 +96,8 @@ __all__ = [
 
 
 def __getattr__(name):  # ``simplicity`` loads on first use, not at CLI start-up
-    if name in ("NormClassSpec", "kernel_rank", "norm_class", "scan"):
+    if name in ("NormClassSpec", "is_nef", "kernel_rank", "norm_class", "scan"):
         from . import simplicity
-        return getattr(simplicity, name)
+        value = globals()[name] = getattr(simplicity, name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

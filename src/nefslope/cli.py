@@ -26,7 +26,7 @@ from .numdata import (
     validate,
 )
 from .polyroot import DEFAULT_WIDTH
-from .slope import certify_rationality, is_nef, slope, slope_lower_bound
+from .slope import certify_rationality, slope, slope_lower_bound
 
 EXIT_OK = 0
 EXIT_WITNESS = 10
@@ -99,6 +99,7 @@ def _slope(args, profile):
 
 
 def _nef(args, profile):
+    from .simplicity import is_nef
     report = is_nef(profile)
     word = "nef" if report.nef else f"not nef (k={report.witness_k})"
     if report.ample:

@@ -6,6 +6,11 @@ accept plain JSON integers as well, and name the input field in every
 error they raise, as do the checks that records run when built.  This is the
 one module that checks the int-string limit: on input, on output (an
 :class:`InputError`) and in messages (a bit length).
+
+:class:`Record` is the base of the frozen value types that load at CLI
+start-up.  It stands in for ``dataclasses``, so start-up neither imports
+``dataclasses`` and the ``inspect`` chain behind it nor compiles generated
+code per class.
 """
 
 from __future__ import annotations
@@ -15,6 +20,40 @@ import sys
 from fractions import Fraction
 
 from .errors import AsymmetricInput, InputError
+
+
+class Record:
+    """Immutable value: a subclass names its fields in ``_fields`` and its
+    ``__init__`` checks them and stores each once, in the instance ``__dict__``.
+
+    Assigning or deleting an attribute raises :class:`AttributeError`.
+    Equality, hash and repr read the exact type and the declared fields
+    only, so a filled ``functools.cached_property`` changes none of them.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple(d[f] for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 #: The exponent of a decimal string, as ``Fraction`` reads it.

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import AsymmetricInput, InputError, NonIntegralProfile
-from .exactio import describe_int, format_int, format_rational, parse_int, parse_rational
+from .exactio import Record, describe_int, format_int, format_rational, parse_int, parse_rational
 from .exactio import read_matrix, require_int, require_seq
 from .polyroot import NEG_INF, POS_INF, chi_polynomial, sturm_chain, sturm_count
 
@@ -38,8 +37,7 @@ def _array(value, field: str) -> list:
     return value
 
 
-@dataclass(frozen=True)
-class IntersectionProfile:
+class IntersectionProfile(Record):
     """The vector ``(L^k . M^(n-k))_{k=0..n}``, listed from k=0 upward.
 
     Construction raises :class:`InputError`, naming the field, unless ``n``
@@ -47,13 +45,11 @@ class IntersectionProfile:
     positive, as for a polarization ``L``.
     """
 
-    n: int
-    v: tuple[int, ...]
+    _fields = ("n", "v")
 
-    def __post_init__(self):
-        v = require_seq(self.v, "v", "integers")
-        object.__setattr__(self, "v", v)
-        n = require_int(self.n, "n", 1)
+    def __init__(self, n: int, v: tuple[int, ...]):
+        v = require_seq(v, "v", "integers")
+        n = require_int(n, "n", 1)
         if len(v) != n + 1:
             raise InputError(f"v: expected n + 1 = {describe_int(n + 1)} entries, got {len(v)}")
         for k, x in enumerate(v):
@@ -61,6 +57,8 @@ class IntersectionProfile:
                 require_int(x, f"v[{k}]")
         if v[n] < 1:
             require_int(v[n], f"v[{n}]", 1)
+        d = self.__dict__
+        d["n"], d["v"] = n, v
 
     def to_json(self) -> dict:
         return {"n": self.n, "v": [format_int(x) for x in self.v]}
@@ -74,8 +72,7 @@ class IntersectionProfile:
         return cls(n, v)
 
 
-@dataclass(frozen=True)
-class SymMatrixModel:
+class SymMatrixModel(Record):
     """Symmetric rational matrix model of a bundle on a product of elliptic curves.
 
     ``entries`` is the matrix of the endomorphism attached to the bundle;
@@ -85,14 +82,11 @@ class SymMatrixModel:
     is a symmetric n x n matrix of ``int`` or ``Fraction`` entries.
     """
 
-    n: int
-    entries: tuple[tuple[Fraction, ...], ...]
-    top_l: int
+    _fields = ("n", "entries", "top_l")
 
-    def __post_init__(self):
-        n = require_int(self.n, "n", 1)
-        f = tuple(tuple(map(Fraction, row)) for row in read_matrix(self.entries, n))
-        object.__setattr__(self, "entries", f)
+    def __init__(self, n: int, entries: tuple[tuple[Fraction, ...], ...], top_l: int):
+        n = require_int(n, "n", 1)
+        f = tuple(tuple(map(Fraction, row)) for row in read_matrix(entries, n))
         for i in range(n):
             for j in range(i):
                 if f[i][j] != f[j][i]:
@@ -100,7 +94,9 @@ class SymMatrixModel:
                         f"F[{i}][{j}]: {format_rational(f[i][j])} differs from "
                         f"F[{j}][{i}] = {format_rational(f[j][i])}; the matrix must be symmetric"
                     )
-        require_int(self.top_l, "L^n", 1)
+        require_int(top_l, "L^n", 1)
+        d = self.__dict__
+        d["n"], d["entries"], d["top_l"] = n, f, top_l
 
     def to_json(self) -> dict:
         return {
@@ -130,17 +126,20 @@ class ValidationLevel(enum.IntEnum):
     SURFACE_HODGE = 3
 
 
-@dataclass(frozen=True)
-class Violation:
-    check: str
-    message: str
-    witness: tuple = ()
+class Violation(Record):
+    _fields = ("check", "message", "witness")
+
+    def __init__(self, check: str, message: str, witness: tuple = ()):
+        d = self.__dict__
+        d["check"], d["message"], d["witness"] = check, message, witness
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    level: ValidationLevel
-    violations: tuple[Violation, ...]
+class ValidationReport(Record):
+    _fields = ("level", "violations")
+
+    def __init__(self, level: ValidationLevel, violations: tuple[Violation, ...]):
+        d = self.__dict__
+        d["level"], d["violations"] = level, violations
 
     @property
     def ok(self) -> bool:
@@ -198,8 +197,9 @@ def _berkowitz(entries: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[i
     while the bordered block is symmetric, as a model's is, and r - 1 otherwise;
     ``map`` stops at its shorter argument, so every caller passes a square ``F``."""
     n = len(entries)
-    d = lcm(*(x.denominator for row in entries for x in row))
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in entries]
+    ratios = [[x.as_integer_ratio() for x in row] for row in entries]  # one read of each entry
+    d = lcm(*(q for row in ratios for _, q in row))
+    a = [[p * (d // q) for p, q in row] for row in ratios]
     # c: det(u I - A_r) of the leading r x r block, descending.  Bordering it
     # by row r multiplies c by the Toeplitz matrix with first column
     # (1, -a_rr, -R C, -R A_r C, ..., -R A_r^(r-1) C).  v is A_r^m C, or A_r^(m - m//2) C
@@ -258,13 +258,18 @@ def is_proportional(p: IntersectionProfile) -> Fraction | None:
     """The rational t with ``M = t L`` numerically, if one exists.
 
     Such a t forces ``v[k] = t^(n-k) v[n]`` for every k, so it is determined
-    by the last two entries and then verified against the whole profile.
+    by the last two entries, ``t = v[n-1] / v[n]``, and then verified against
+    the whole profile in integers: ``v[k] v[n]^(n-k-1) = v[n-1]^(n-k)`` for
+    k = n-2 down to 0.
     """
-    t = Fraction(p.v[p.n - 1], p.v[p.n])
-    for k in range(p.n + 1):
-        if p.v[k] != t ** (p.n - k) * p.v[p.n]:
+    v = p.v
+    top, below = v[-1], v[-2]
+    top_pow, below_pow = 1, below
+    for x in reversed(v[:-2]):
+        top_pow, below_pow = top_pow * top, below_pow * below
+        if x * top_pow != below_pow:
             return None
-    return t
+    return Fraction(below, top)
 
 
 def binary_profile(p: IntersectionProfile, a: int, b: int) -> IntersectionProfile:

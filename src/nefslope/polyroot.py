@@ -44,13 +44,12 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, gcd, isinf, isqrt, lcm
 
 from .errors import InputError
-from .exactio import describe_int, format_int, format_rational, is_int
+from .exactio import Record, describe_int, format_int, format_rational, is_int
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -65,21 +64,21 @@ def _sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Record):
     """Integer polynomial ``c[0] + c[1] u + ... + c[d] u^d`` with ``c[d] != 0``.
 
     The zero polynomial is the empty coefficient tuple.
     """
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        for c in self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]):
+        for c in coeffs:
             if type(c) is not int and not is_int(c):  # the hot path calls nothing for an exact int
                 raise TypeError(f"coefficients must be exact integers, got {c!r}")
-        if self.coeffs and self.coeffs[-1] == 0:
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero (use IntPolynomial.of)")
+        self.__dict__["coeffs"] = coeffs
 
     @classmethod
     def of(cls, coeffs: Iterable[int | Fraction]) -> "IntPolynomial":
@@ -203,15 +202,17 @@ def _exquo(a: IntPolynomial, b: IntPolynomial) -> list[int]:
 # ---------------------------------------------------------------------------
 # Sturm chains and root counting.
 
-@dataclass(frozen=True)
-class SturmChain:
+class SturmChain(Record):
     """Signed remainder sequence of the square-free part of a polynomial.
 
     Every element is primitive; content is divided out by positive factors
     only, which leaves all sign variations intact.
     """
 
-    polys: tuple[IntPolynomial, ...]
+    _fields = ("polys",)
+
+    def __init__(self, polys: tuple[IntPolynomial, ...]):
+        self.__dict__["polys"] = polys
 
 
 def sturm_chain(p: IntPolynomial) -> SturmChain:
@@ -447,8 +448,7 @@ def rational_roots(p: IntPolynomial) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 # Algebraic numbers: certified real roots.
 
-@dataclass(frozen=True)
-class AlgebraicNumber:
+class AlgebraicNumber(Record):
     """An exact real algebraic number.
 
     ``minpoly_factor`` is square-free and has the number as its only root in
@@ -456,9 +456,13 @@ class AlgebraicNumber:
     number is rational; in that case the defining polynomial is linear.
     """
 
-    minpoly_factor: IntPolynomial
-    interval: tuple[Fraction, Fraction]
-    exact: Fraction | None = None
+    _fields = ("minpoly_factor", "interval", "exact")
+
+    def __init__(
+        self, minpoly_factor: IntPolynomial, interval: tuple[Fraction, Fraction], exact: Fraction | None = None
+    ):
+        d = self.__dict__
+        d["minpoly_factor"], d["interval"], d["exact"] = minpoly_factor, interval, exact
 
     @classmethod
     def from_rational(cls, value: Fraction | int) -> "AlgebraicNumber":

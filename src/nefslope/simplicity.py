@@ -7,6 +7,10 @@ model the induced endomorphism is nonzero with a kernel of intermediate
 rank.  A scan over finitely many bundle classes therefore either finds a
 witness or reports the instances as consistent with simplicity -- a finite
 scan can never prove simplicity, and the report wording reflects that.
+
+The coordinate-wise nefness test, :func:`is_nef`, lives here too: its
+:class:`NefReport` is a dataclass, like the other records of this module,
+which loads on first use rather than at CLI start-up.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import InconsistentContext
-from .exactio import describe_int, format_rational, require_int
+from .exactio import describe_int, format_int, format_rational, require_int
 from .numdata import (
     IntersectionProfile,
     SymMatrixModel,
@@ -26,17 +30,40 @@ from .numdata import (
     is_proportional,
     profile_from_matrix,
 )
-from .slope import (
-    IrrationalSlope,
-    NefReport,
-    RationalSlope,
-    SlopeResult,
-    is_nef,
-    slope,
-)
+from .slope import IrrationalSlope, RationalSlope, SlopeResult, slope
 
 WITNESS_FOUND = "non-simple-witness-found"
 CONSISTENT = "consistent-with-simple"
+
+
+@dataclass(frozen=True)
+class NefReport:
+    """Verdict of the coordinate-wise nefness test on a bundle profile."""
+
+    values: tuple[tuple[int, int], ...]
+    nef: bool
+    witness_k: int | None
+    ample: bool
+
+    def to_json(self) -> dict:
+        return {
+            "values": [{"k": k, "value": format_int(x)} for k, x in self.values],
+            "verdict": "nef" if self.nef else "not-nef",
+            "witness_k": self.witness_k,
+            "ample": self.ample,
+        }
+
+
+def is_nef(p: IntersectionProfile) -> NefReport:
+    """Nefness test: nef iff every profile entry is non-negative.
+
+    The profile is that of the tested bundle ``B`` against the ample ``L``;
+    ampleness additionally requires ``B^n > 0``.
+    """
+    values = tuple((k, p.v[k]) for k in range(p.n + 1))
+    witness = next((k for k, x in values if x < 0), None)
+    nef = witness is None
+    return NefReport(values, nef, witness, nef and p.v[0] > 0)
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,12 @@ emitted intervals (see :meth:`SlopeResult.refined`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import NegationIsNef, SlopeIsInfinite
-from .exactio import format_int, format_ratio
-from .numdata import IntersectionProfile, binary_profile
+from .exactio import Record, format_int, format_ratio
+from .numdata import IntersectionProfile
 from .polyroot import (
     AlgebraicNumber,
     IntPolynomial,
@@ -40,26 +39,7 @@ from .polyroot import (
 )
 
 
-@dataclass(frozen=True)
-class NefReport:
-    """Verdict of the coordinate-wise nefness test on a bundle profile."""
-
-    values: tuple[tuple[int, int], ...]
-    nef: bool
-    witness_k: int | None
-    ample: bool
-
-    def to_json(self) -> dict:
-        return {
-            "values": [{"k": k, "value": format_int(x)} for k, x in self.values],
-            "verdict": "nef" if self.nef else "not-nef",
-            "witness_k": self.witness_k,
-            "ample": self.ample,
-        }
-
-
-@dataclass(frozen=True)
-class CandidateTrace:
+class CandidateTrace(Record):
     """Replayable record of the rational-candidate enumeration.
 
     ``rows`` holds every positive divisor-quotient candidate ``r/s`` for the
@@ -71,7 +51,10 @@ class CandidateTrace:
     ``candidates`` is the ``Fraction`` view of the rows.
     """
 
-    chi: IntPolynomial
+    _fields = ("chi",)
+
+    def __init__(self, chi: IntPolynomial):
+        self.__dict__["chi"] = chi
 
     @cached_property
     def rows(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -88,13 +71,14 @@ class CandidateTrace:
         ]
 
 
-@dataclass(frozen=True)
-class RationalSlope:
+class RationalSlope(Record):
     """Certified rational threshold p/q in lowest terms, with p | L^n and q | M^n."""
 
-    p: int
-    q: int
-    trace: CandidateTrace
+    _fields = ("p", "q", "trace")
+
+    def __init__(self, p: int, q: int, trace: CandidateTrace):
+        d = self.__dict__
+        d["p"], d["q"], d["trace"] = p, q, trace
 
     @property
     def value(self) -> Fraction:
@@ -109,18 +93,19 @@ class RationalSlope:
         }
 
 
-@dataclass(frozen=True)
-class IrrationalSlope:
+class IrrationalSlope(Record):
     """Certificate that the finite threshold is irrational."""
 
-    trace: CandidateTrace
+    _fields = ("trace",)
+
+    def __init__(self, trace: CandidateTrace):
+        self.__dict__["trace"] = trace
 
     def to_json(self) -> dict:
         return {"verdict": "irrational", "trace": self.trace.to_json()}
 
 
-@dataclass(frozen=True)
-class SlopeResult:
+class SlopeResult(Record):
     """Threshold of a pair: infinite, or finite with rationality certificate.
 
     A finite result holds one number, ``max_root``: the maximal real root of
@@ -130,8 +115,11 @@ class SlopeResult:
     and the coefficient reversal of the defining polynomial.
     """
 
-    max_root: AlgebraicNumber | None
-    rationality: RationalSlope | IrrationalSlope | None
+    _fields = ("max_root", "rationality")
+
+    def __init__(self, max_root: AlgebraicNumber | None, rationality: RationalSlope | IrrationalSlope | None):
+        d = self.__dict__
+        d["max_root"], d["rationality"] = max_root, rationality
 
     @property
     def infinite(self) -> bool:
@@ -166,18 +154,6 @@ class SlopeResult:
             "slope": self.slope.to_json(),
             "rationality": self.rationality.to_json(),
         }
-
-
-def is_nef(p: IntersectionProfile) -> NefReport:
-    """Nefness test: nef iff every profile entry is non-negative.
-
-    The profile is that of the tested bundle ``B`` against the ample ``L``;
-    ampleness additionally requires ``B^n > 0``.
-    """
-    values = tuple((k, p.v[k]) for k in range(p.n + 1))
-    witness = next((k for k, x in values if x < 0), None)
-    nef = witness is None
-    return NefReport(values, nef, witness, nef and p.v[0] > 0)
 
 
 def _check_divisibility(p: int, q: int, profile: IntersectionProfile) -> None:
@@ -224,12 +200,14 @@ def certify_rationality(profile: IntersectionProfile) -> RationalSlope | Irratio
 def slope_lower_bound(profile: IntersectionProfile) -> Fraction:
     """Coefficient lower bound for the threshold.
 
-    Requires ``-M`` not nef (checked on the negated profile); then the
-    threshold exceeds the reciprocal Cauchy radius of the profile
+    Requires ``-M`` not nef: the profile of ``-M`` against ``L`` is
+    ``(-1)^(n-k) v[k]``, so ``-M`` is nef when the entries at even ``n - k``
+    are all non-negative and those at odd ``n - k`` all non-positive.  Then
+    the threshold exceeds the reciprocal Cauchy radius of the profile
     polynomial, ``(1 + max_k C(n,k) |v[k]| / v[n])^-1``.
     """
-    negated = binary_profile(profile, 0, -1)
-    if is_nef(negated).nef:
+    v = profile.v
+    if min(v[-1::-2]) >= 0 and max(v[-2::-2]) <= 0:
         raise NegationIsNef("-M is nef, the threshold is infinite and needs no bound")
     return Fraction(1) / cauchy_bound(chi_polynomial(profile))
 
@@ -252,3 +230,11 @@ def s_invariant(profile: IntersectionProfile) -> AlgebraicNumber | None:
     if result.infinite:
         return None
     return result.max_root
+
+
+def __getattr__(name):  # ``is_nef`` lives in ``simplicity``, which loads on first use
+    if name == "is_nef":
+        from . import simplicity
+        value = globals()[name] = getattr(simplicity, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

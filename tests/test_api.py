@@ -88,6 +88,21 @@ def test_bench_cli_calls_parse():
         assert (args.command, args.input) == (argv[0], "X")
 
 
+def test_is_nef_loads_simplicity_on_first_use():
+    # ``is_nef`` and its dataclass ``NefReport`` live in ``simplicity``; the package and
+    # ``nefslope.slope`` resolve ``is_nef`` on first use and keep the name resolved.
+    code = (
+        "import sys, nefslope.cli; mod = sys.modules['nefslope.slope']; "
+        "print('nefslope.simplicity' in sys.modules); f = mod.is_nef; "
+        "from nefslope import is_nef, simplicity; "
+        "print(f is is_nef is simplicity.is_nef, "
+        "'is_nef' in vars(mod), 'is_nef' in vars(sys.modules['nefslope']), hasattr(mod, 'no_such_name'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "True", "True", "True", "False"]
+
+
 def test_scan_accepts_jobs():
     assert simplicity.scan([], jobs=2).overall == simplicity.CONSISTENT
 

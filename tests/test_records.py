@@ -1,0 +1,107 @@
+"""The frozen value types: the ``Record`` base of the types that load at CLI
+start-up, and the dataclass records that load with ``simplicity``."""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from nefslope.exactio import Record
+from nefslope.numdata import (
+    IntersectionProfile,
+    SymMatrixModel,
+    ValidationLevel,
+    ValidationReport,
+    Violation,
+)
+from nefslope.polyroot import AlgebraicNumber, IntPolynomial, SturmChain, chi_polynomial
+from nefslope.simplicity import IRRATIONAL, NefReport, ScanEntry, SimplicityScan, is_nef, scan
+from nefslope.slope import CandidateTrace, IrrationalSlope, RationalSlope, SlopeResult, slope
+
+CHI = IntPolynomial((-3, 0, 2))  # 2 u^2 - 3: irrational roots
+TRACE = CandidateTrace(CHI)
+
+RECORDS = [
+    IntPolynomial((1, 2)),
+    SturmChain((IntPolynomial((1,)),)),
+    AlgebraicNumber.from_rational(Fraction(1, 2)),
+    IntersectionProfile(2, (1, 2, 3)),
+    SymMatrixModel(1, ((1,),), 1),
+    Violation("hodge-index", "message"),
+    ValidationReport(ValidationLevel.SPECTRAL, ()),
+    TRACE,
+    RationalSlope(1, 2, TRACE),
+    IrrationalSlope(TRACE),
+    SlopeResult(None, None),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_fields_cannot_be_assigned_or_deleted(record):
+    assert isinstance(record, Record) and not dataclasses.is_dataclass(record)
+    field = record._fields[0]
+    value = getattr(record, field)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError, match="cannot assign to field 'other'"):
+        record.other = 1
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(record, field)
+    assert getattr(record, field) is value
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_equal_fields_make_equal_records(record):
+    twin = type(record)(*record._values())
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    assert repr(twin) == repr(record)
+
+
+def test_equality_goes_by_exact_type_and_fields():
+    assert RationalSlope(1, 2, TRACE) == RationalSlope(1, 2, TRACE)
+    assert RationalSlope(1, 2, TRACE) != RationalSlope(1, 3, TRACE)
+    assert IrrationalSlope(TRACE) != RationalSlope(1, 2, TRACE)
+    assert RationalSlope(1, 2, TRACE) != IrrationalSlope(TRACE)
+    # Same field values, different types: the type is part of the hash too.
+    assert IntPolynomial((1, 2)) != SturmChain((1, 2))
+    assert hash(IntPolynomial((1, 2))) != hash(SturmChain((1, 2)))
+
+    class Subclass(IrrationalSlope):
+        pass
+
+    assert Subclass(TRACE) != IrrationalSlope(TRACE)
+    assert IntPolynomial((1, 2)) != (1, 2)
+
+
+def test_repr_names_the_fields():
+    assert repr(IntPolynomial((1, 2))) == "IntPolynomial(coeffs=(1, 2))"
+    assert repr(Violation("c", "m")) == "Violation(check='c', message='m', witness=())"
+    assert repr(SlopeResult(None, None)) == "SlopeResult(max_root=None, rationality=None)"
+
+
+def test_filled_cached_properties_leave_equality_and_hash():
+    result = slope(IntersectionProfile(2, (-1, 1, 2)))
+    twin = SlopeResult(result.max_root, result.rationality)
+    before = hash(result), repr(result)
+    assert result.slope is not None and "slope" in vars(result) and "slope" not in vars(twin)
+    assert result == twin and (hash(result), repr(result)) == before == (hash(twin), repr(twin))
+
+    trace = CandidateTrace(chi_polynomial(IntersectionProfile(2, (1, 4, 2))))
+    twin = CandidateTrace(trace.chi)
+    before = hash(trace), repr(trace)
+    assert trace.rows and trace.candidates and {"rows", "candidates"} <= set(vars(trace))
+    assert trace == twin and (hash(trace), repr(trace)) == before == (hash(twin), repr(twin))
+
+
+def test_dataclass_replace_works_on_the_simplicity_records():
+    report = is_nef(IntersectionProfile(2, (0, 4, 3)))
+    flipped = dataclasses.replace(report, nef=not report.nef)
+    assert isinstance(report, NefReport) and (report.nef, flipped.nef) == (True, False)
+    assert flipped.values == report.values
+
+    result = scan([("a", IntersectionProfile(2, (0, 4, 3))), ("b", IntersectionProfile(2, (1, 1, 3)))])
+    entry = dataclasses.replace(result.entries[0], verdict=IRRATIONAL)
+    assert isinstance(entry, ScanEntry) and entry.verdict == IRRATIONAL != result.entries[0].verdict
+    tampered = dataclasses.replace(result, entries=(entry,) + result.entries[1:])
+    assert isinstance(tampered, SimplicityScan) and tampered.entries[1] == result.entries[1]
+    assert tampered != result

@@ -1,5 +1,6 @@
 """Tests for nefness, the threshold engine and its certificates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,10 @@ from nefslope.generators import GenSpec, SplitMix64, gen_random
 from nefslope.numdata import (
     IntersectionProfile,
     binary_profile,
+    is_proportional,
     profile_from_matrix,
 )
-from nefslope.polyroot import IntPolynomial, chi_polynomial, compare_with_rational, refine
+from nefslope.polyroot import IntPolynomial, cauchy_bound, chi_polynomial, compare_with_rational, refine
 from nefslope.simplicity import IRRATIONAL, scan
 from nefslope.slope import (
     CandidateTrace,
@@ -266,6 +268,74 @@ class TestLowerBound:
             assert slope_at_least(slope(profile), bound)
             checked += 1
         assert checked > 100
+
+
+def _fraction_is_proportional(p):
+    """``is_proportional`` by ``Fraction`` powers: ``v[k] = t^(n-k) v[n]`` for every k."""
+    t = Fraction(p.v[p.n - 1], p.v[p.n])
+    return t if all(p.v[k] == t ** (p.n - k) * p.v[p.n] for k in range(p.n + 1)) else None
+
+
+def _negated_profile_lower_bound(p):
+    """``slope_lower_bound`` by the nefness test on the profile of ``-M``."""
+    if is_nef(binary_profile(p, 0, -1)).nef:
+        raise NegationIsNef("-M is nef")
+    return 1 / cauchy_bound(chi_polynomial(p))
+
+
+class TestAgainstProfileFormulas:
+    """``is_proportional`` and ``slope_lower_bound`` read integer signs and
+    products; the formulas they replace built ``Fraction`` powers and the
+    profile of ``-M``.  Both must agree on every seeded profile."""
+
+    @staticmethod
+    def profiles():
+        rng = random.Random(23)
+        out = {"proportional": [], "negation-nef": [], "other": []}
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            # M = (a/b) L with L^n = c b^n: v[k] = a^(n-k) b^k c.
+            a, b, c = rng.randint(-9, 9), rng.randint(1, 9), rng.randint(1, 5)
+            v = [a ** (n - k) * b**k * c for k in range(n + 1)]
+            out["proportional"].append(IntersectionProfile(n, tuple(v)))
+            # One entry off by one: a near miss.
+            k = rng.randrange(n - 1) if n > 1 else 0
+            near = v[:k] + [v[k] + rng.choice((-1, 1))] + v[k + 1:]
+            out["other"].append(IntersectionProfile(n, tuple(near)))
+            # -M nef: (-1)^(n-k) v[k] >= 0, zeros included; then one sign flipped.
+            signed = [(-1) ** (n - k) * rng.randint(0, 9) for k in range(n)] + [rng.randint(1, 9)]
+            out["negation-nef"].append(IntersectionProfile(n, tuple(signed)))
+            k = rng.randrange(n)
+            flipped = signed[:k] + [-signed[k] or (-1) ** (n - k + 1)] + signed[k + 1:]
+            out["other"].append(IntersectionProfile(n, tuple(flipped)))
+            drawn = [rng.randint(-9, 9) for _ in range(n)] + [rng.randint(1, 9)]
+            out["other"].append(IntersectionProfile(n, tuple(drawn)))
+        return out
+
+    def test_is_proportional(self):
+        found = {}
+        for kind, group in self.profiles().items():
+            found[kind] = 0
+            for p in group:
+                t, expected = is_proportional(p), _fraction_is_proportional(p)
+                assert t == expected and type(t) is type(expected), p
+                found[kind] += t is not None
+        assert found["proportional"] == 300 and found["other"] < 200
+
+    def test_slope_lower_bound(self):
+        raised = {}
+        for kind, group in self.profiles().items():
+            raised[kind] = 0
+            for p in group:
+                try:
+                    expected = _negated_profile_lower_bound(p)
+                except NegationIsNef:
+                    with pytest.raises(NegationIsNef, match="^-M is nef, the threshold is infinite"):
+                        slope_lower_bound(p)
+                    raised[kind] += 1
+                    continue
+                assert slope_lower_bound(p) == expected, p
+        assert raised["negation-nef"] == 300 and raised["other"] < 300
 
 
 class TestThresholdBoundary:
