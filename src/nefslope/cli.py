@@ -9,8 +9,6 @@ Exit codes: 0 success / consistent-with-simple, 10 non-simplicity witness
 (scan only), 2 input error, 3 precondition violation.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

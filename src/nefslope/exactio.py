@@ -7,13 +7,12 @@ error they raise, as do the checks that records run when built.  This is the
 one module that checks the int-string limit: on input, on output (an
 :class:`InputError`) and in messages (a bit length).
 
-:class:`Record` is the base of the frozen value types that load at CLI
-start-up.  It stands in for ``dataclasses``, so start-up neither imports
-``dataclasses`` and the ``inspect`` chain behind it nor compiles generated
-code per class.
+:class:`Record` is the base of the package's frozen value types.  It stands
+in for ``dataclasses``, so neither start-up nor ``gen`` imports
+``dataclasses`` and the ``inspect`` chain behind it, or compiles generated
+code per class.  Only the three scan records of ``simplicity`` stay
+dataclasses, for the benchmark's ``dataclasses.replace``.
 """
-
-from __future__ import annotations
 
 import re
 import sys

@@ -14,15 +14,12 @@ Three kinds of instances are generated:
   threshold is certified rational; used to exercise the witness pipeline.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .errors import InputError
-from .exactio import require_int
+from .exactio import Record, require_int
 from .numdata import IntersectionProfile, SymMatrixModel, hodge_violation
 
 _INCREMENT = 0x9E3779B97F4A7C15
@@ -62,22 +59,20 @@ class SplitMix64:
         return lo + self.below(hi - lo + 1)
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(Record):
     """Reproducible instance request: kind, size parameters and seed."""
 
-    kind: str
-    seed: int
-    count: int
-    n: int = 2
-    bound: int = 10
+    _fields = ("kind", "seed", "count", "n", "bound")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InputError(f"unknown generator kind {self.kind!r}; expected one of {KINDS}")
-        least_n = 2 if self.kind == RATIONAL_MATRIX else 1  # a rational-matrix spectrum is never constant
-        for field, least in (("seed", None), ("count", 0), ("n", least_n), ("bound", 1)):
-            require_int(getattr(self, field), field, least)
+    def __init__(self, kind: str, seed: int, count: int, n: int = 2, bound: int = 10):
+        if kind not in KINDS:
+            raise InputError(f"unknown generator kind {kind!r}; expected one of {KINDS}")
+        require_int(seed, "seed")
+        require_int(count, "count", 0)
+        require_int(n, "n", 2 if kind == RATIONAL_MATRIX else 1)  # a rational-matrix spectrum is never constant
+        require_int(bound, "bound", 1)
+        d = self.__dict__
+        d["kind"], d["seed"], d["count"], d["n"], d["bound"] = kind, seed, count, n, bound
 
 
 def gen_product(n: int, entries: Sequence[Sequence[int]]) -> SymMatrixModel:

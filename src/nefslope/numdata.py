@@ -17,8 +17,6 @@ vector is a first-class input; realizability checks stay opt-in through
 :func:`validate` at increasing :class:`ValidationLevel` strictness.
 """
 
-from __future__ import annotations
-
 import enum
 from collections.abc import Sequence
 from fractions import Fraction

@@ -40,8 +40,6 @@ can hold.  An
 field is set; no numeric equality test against rationals is ever needed.
 """
 
-from __future__ import annotations
-
 import operator
 from collections.abc import Callable, Iterable
 from decimal import Decimal, localcontext

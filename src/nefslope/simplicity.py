@@ -8,12 +8,12 @@ rank.  A scan over finitely many bundle classes therefore either finds a
 witness or reports the instances as consistent with simplicity -- a finite
 scan can never prove simplicity, and the report wording reflects that.
 
-The coordinate-wise nefness test, :func:`is_nef`, lives here too: its
-:class:`NefReport` is a dataclass, like the other records of this module,
-which loads on first use rather than at CLI start-up.
+The coordinate-wise nefness test, :func:`is_nef`, lives here too.  Its
+:class:`NefReport`, :class:`ScanEntry` and :class:`SimplicityScan` stay
+dataclasses, because the benchmark's ``--inject-wrong-verdict`` copies them
+with ``dataclasses.replace``; the norm-class records derive from
+``exactio.Record``, like every other value type of the package.
 """
-
-from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import InconsistentContext
-from .exactio import describe_int, format_int, format_rational, require_int
+from .exactio import Record, describe_int, format_int, format_rational, require_int
 from .numdata import (
     IntersectionProfile,
     SymMatrixModel,
@@ -66,20 +66,19 @@ def is_nef(p: IntersectionProfile) -> NefReport:
     return NefReport(values, nef, witness, nef and p.v[0] > 0)
 
 
-@dataclass(frozen=True)
-class NormClassSpec:
+class NormClassSpec(Record):
     """Pullback of the polarization along the norm endomorphism of an axis
     subtorus of dimension ``sub_dim`` with induced-polarization exponent
     ``exponent``."""
 
-    n: int
-    sub_dim: int
-    exponent: int
+    _fields = ("n", "sub_dim", "exponent")
 
-    def __post_init__(self):
-        require_int(self.n, "n")
-        require_int(self.sub_dim, "sub_dim", 1, self.n - 1)
-        require_int(self.exponent, "exponent", 1)
+    def __init__(self, n: int, sub_dim: int, exponent: int):
+        require_int(n, "n", 2)  # a proper subtorus needs n >= 2
+        require_int(sub_dim, "sub_dim", 1, n - 1)
+        require_int(exponent, "exponent", 1)
+        d = self.__dict__
+        d["n"], d["sub_dim"], d["exponent"] = n, sub_dim, exponent
 
 
 def norm_class(spec: NormClassSpec) -> SymMatrixModel:
@@ -93,12 +92,12 @@ def norm_class(spec: NormClassSpec) -> SymMatrixModel:
     return SymMatrixModel(spec.n, rows, factorial(spec.n))
 
 
-@dataclass(frozen=True)
-class NormCheckResult:
-    passed: bool
-    expected: Fraction
-    result: SlopeResult
-    proportional: Fraction | None
+class NormCheckResult(Record):
+    _fields = ("passed", "expected", "result", "proportional")
+
+    def __init__(self, passed: bool, expected: Fraction, result: SlopeResult, proportional: Fraction | None):
+        d = self.__dict__
+        d["passed"], d["expected"], d["result"], d["proportional"] = passed, expected, result, proportional
 
 
 def norm_slope_check(spec: NormClassSpec) -> NormCheckResult:

@@ -17,8 +17,6 @@ from it; display refinement refines that root once, which bounds both
 emitted intervals (see :meth:`SlopeResult.refined`).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cached_property
 

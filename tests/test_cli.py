@@ -430,9 +430,10 @@ class TestErrorHandling:
 #: The modules that ``import nefslope.cli`` adds under ``python -S`` on
 #: CPython 3.11, recorded when start-up was last measured.  The frozen
 #: records derive from ``exactio.Record``, so neither ``dataclasses`` nor
-#: the ``inspect`` chain behind it (``ast``, ``dis``, ``tokenize``, ...) is here.
+#: the ``inspect`` chain behind it (``ast``, ``dis``, ``tokenize``, ...) is here,
+#: and no module postpones its annotations, so ``__future__`` is not either.
 CLI_IMPORTS = frozenset("""
-    __future__ _collections _collections_abc _decimal _functools _json _operator _sre _stat
+    _collections _collections_abc _decimal _functools _json _operator _sre _stat
     argparse collections collections.abc copyreg decimal enum fractions functools genericpath
     gettext itertools json json.decoder json.encoder json.scanner keyword math nefslope
     nefslope.cli nefslope.errors nefslope.exactio nefslope.numdata nefslope.polyroot
@@ -449,6 +450,17 @@ def test_cli_adds_no_imports():
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert "nefslope.cli" in done.stdout.split()
     assert set(done.stdout.split()) - CLI_IMPORTS == set()
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the import set is recorded on CPython 3.11")
+def test_gen_loads_no_dataclasses():
+    # ``gen`` loads ``generators``, whose ``GenSpec`` is a ``Record`` like the start-up records.
+    code = "import sys, nefslope.cli, nefslope.generators; print(*sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(nefslope.cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    modules = set(done.stdout.split())
+    assert "nefslope.generators" in modules
+    assert modules & {"dataclasses", "inspect", "__future__"} == set()
 
 
 def test_cli_start_up_skips_scan_and_gen_modules():

@@ -2,7 +2,6 @@
 
 import random
 import sys
-import time
 from fractions import Fraction
 from math import prod
 
@@ -389,17 +388,26 @@ class TestRationalRoots:
         with pytest.raises(InputError, match=r"^divisor trace: cannot split a composite cofactor of 94 bits within 2097152 squarings"):
             polyroot._divisors(11000000000010510000000002201)
 
-    def test_rho_budget_is_shared_by_the_splits(self):
-        # Six 42-bit primes, 247 bits in all: each split takes rho close to a
-        # budget of squarings.  All splits of one factorization share one
-        # budget, so the product is refused after about one budget's time
-        # (1.4 s on CPython 3.11), not one per split.
+    def test_rho_budget_is_shared_by_the_splits(self, monkeypatch):
+        # Six 42-bit primes, 247 bits in all: the first split takes rho all but
+        # two squarings of the budget.  All splits of one factorization share
+        # one budget, each starting from the squarings the previous one
+        # returned, so the next split is refused within that one budget.
         primes = [2209023255613, 2219023255637, 2229023255677, 2239023255697, 2249023255783, 2259023255849]
         assert all(map(sympy.isprime, primes)) and prod(primes).bit_length() == 247
-        start = time.process_time()
+        rho, starts, spent = polyroot._rho, [], []
+
+        def spy(n, steps):
+            starts.append(steps)
+            g, steps = rho(n, steps)
+            spent.append(steps)
+            return g, steps
+
+        monkeypatch.setattr(polyroot, "_rho", spy)
         with pytest.raises(InputError, match=r"^divisor trace: cannot split a composite cofactor of \d+ bits within 2097152 squarings"):
             polyroot._divisors(prod(primes))
-        assert time.process_time() - start < 2
+        assert len(starts) >= 2 and starts == [0] + spent
+        assert spent[-1] <= polyroot._RHO_BUDGET
 
     def test_candidates_against_fraction_set(self):
         # Degrees 1..9 with up to two zero roots, constants up to 10^12 and

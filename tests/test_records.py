@@ -1,5 +1,6 @@
-"""The frozen value types: the ``Record`` base of the types that load at CLI
-start-up, and the dataclass records that load with ``simplicity``."""
+"""The frozen value types: the ``Record`` base of every value type of the
+package, and the three scan records of ``simplicity`` that stay dataclasses
+because the benchmark copies them with ``dataclasses.replace``."""
 
 import dataclasses
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from nefslope.exactio import Record
+from nefslope.generators import GenSpec
 from nefslope.numdata import (
     IntersectionProfile,
     SymMatrixModel,
@@ -15,7 +17,16 @@ from nefslope.numdata import (
     Violation,
 )
 from nefslope.polyroot import AlgebraicNumber, IntPolynomial, SturmChain, chi_polynomial
-from nefslope.simplicity import IRRATIONAL, NefReport, ScanEntry, SimplicityScan, is_nef, scan
+from nefslope.simplicity import (
+    IRRATIONAL,
+    NefReport,
+    NormClassSpec,
+    ScanEntry,
+    SimplicityScan,
+    is_nef,
+    norm_slope_check,
+    scan,
+)
 from nefslope.slope import CandidateTrace, IrrationalSlope, RationalSlope, SlopeResult, slope
 
 CHI = IntPolynomial((-3, 0, 2))  # 2 u^2 - 3: irrational roots
@@ -33,6 +44,9 @@ RECORDS = [
     RationalSlope(1, 2, TRACE),
     IrrationalSlope(TRACE),
     SlopeResult(None, None),
+    GenSpec("product-matrix", 7, 3, 4, 5),
+    NormClassSpec(3, 1, 2),
+    norm_slope_check(NormClassSpec(2, 1, 1)),
 ]
 
 
@@ -73,10 +87,17 @@ def test_equality_goes_by_exact_type_and_fields():
     assert IntPolynomial((1, 2)) != (1, 2)
 
 
+def test_gen_spec_keywords_and_defaults_match_positions():
+    spec = GenSpec("surface", seed=3, count=4)
+    assert spec == GenSpec("surface", 3, 4, 2, 10) and hash(spec) == hash(GenSpec("surface", 3, 4, 2, 10))
+    assert GenSpec(kind="rational-matrix", bound=6, n=3, count=2, seed=1) == GenSpec("rational-matrix", 1, 2, 3, 6)
+
+
 def test_repr_names_the_fields():
     assert repr(IntPolynomial((1, 2))) == "IntPolynomial(coeffs=(1, 2))"
     assert repr(Violation("c", "m")) == "Violation(check='c', message='m', witness=())"
     assert repr(SlopeResult(None, None)) == "SlopeResult(max_root=None, rationality=None)"
+    assert repr(GenSpec("surface", 1, 2)) == "GenSpec(kind='surface', seed=1, count=2, n=2, bound=10)"
 
 
 def test_filled_cached_properties_leave_equality_and_hash():

@@ -59,6 +59,9 @@ class TestNormClass:
             ((3, "1", 1), "sub_dim: expected an integer, got '1'"),
             ((3.0, 1, 1), "n: expected an integer, got 3.0"),
             ((True, 1, 1), "n: expected an integer, got True"),
+            ((1, 1, 1), "n: must be at least 2, got 1"),
+            ((0, 1, 1), "n: must be at least 2, got 0"),
+            ((-3, 1, 1), "n: must be at least 2, got -3"),
         ],
         ids=[
             "huge-n",
@@ -69,6 +72,9 @@ class TestNormClass:
             "string-sub-dim",
             "float-n",
             "bool-n",
+            "one-n",
+            "zero-n",
+            "negative-n",
         ],
     )
     def test_message_past_string_limit(self, args, message):
