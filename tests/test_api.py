@@ -103,6 +103,24 @@ def test_is_nef_loads_simplicity_on_first_use():
     assert done.stdout.split() == ["False", "True", "True", "True", "False"]
 
 
+def test_every_import_is_used():
+    # A module imports only names it reads: pyflakes' unused-import rule,
+    # from the standard library.  ``__init__`` imports to re-export.
+    unused = []
+    for path in sorted((ROOT / "src" / "nefslope").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
+
+
 def test_scan_accepts_jobs():
     assert simplicity.scan([], jobs=2).overall == simplicity.CONSISTENT
 

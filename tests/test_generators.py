@@ -32,6 +32,11 @@ class TestSplitMix64:
         assert all(-5 <= d <= 5 for d in draws)
         assert len(set(draws)) > 5
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_range_rejected(self, n):
+        with pytest.raises(ValueError, match="^range size must be positive$"):
+            SplitMix64(1).below(n)
+
 
 class TestGenProduct:
     def test_dense(self):

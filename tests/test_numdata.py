@@ -80,8 +80,10 @@ class TestProfileFromMatrix:
             ((1, ((0,),), -(10**5000)), "L^n: must be at least 1, got <16610-bit integer>"),
             ((1, ((0,),), Fraction(10**5000, 3)), "L^n: expected an integer, got Fraction(<16610-bit integer>, 3)"),
             ((10**5000, ((0,),), 1), "F: expected a <16610-bit integer>x<16610-bit integer> matrix"),
+            # repr of a container fails past the limit too: the message names its type.
+            ((1, (([10**5000],),), 1), "F[0][0]: expected an integer or a Fraction, got <list>"),
         ],
-        ids=["huge-negative-n", "huge-negative-top", "huge-fraction-top", "huge-n"],
+        ids=["huge-negative-n", "huge-negative-top", "huge-fraction-top", "huge-n", "huge-in-list-entry"],
     )
     def test_message_past_string_limit(self, args, message):
         with pytest.raises(InputError) as exc:

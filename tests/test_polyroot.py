@@ -89,10 +89,18 @@ class TestIntPolynomial:
         p = P([2, -6, 2])
         assert p.to_json() == {"coeffs": ["2", "-6", "2"]}
 
+    def test_str(self):
+        assert str(P([2, -6, 2])) == "2*u^2 - 6*u + 2"
+        assert str(IntPolynomial(())) == "0"
+
 
 class TestSquarefree:
     def test_squarefree_part_of_power(self):
         assert sturm_chain(P([0, 0, 1])).polys[0] == P([0, 1])
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ValueError, match="^cannot build a Sturm chain for the zero polynomial$"):
+            sturm_chain(IntPolynomial(()))
 
     def test_squarefree_part_keeps_distinct_roots(self):
         p = from_roots([1, 3], lead=2)
@@ -255,6 +263,11 @@ class TestCauchyBound:
         assert cauchy_bound(P([0, 0, 0, 1])) == 1
         assert cauchy_bound(P([0, 0, -54, 6])) == 10
 
+    @pytest.mark.parametrize("coeffs", [[5], [-1], []], ids=["positive", "negative", "zero"])
+    def test_constant_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="^Cauchy bound requires degree >= 1$"):
+            cauchy_bound(P(coeffs))
+
     @given(st.lists(st.integers(-100, 100), min_size=2, max_size=9))
     def test_no_roots_outside(self, coeffs):
         p = P(coeffs)
@@ -323,6 +336,22 @@ class TestRationalRoots:
 
     def test_zero_root_extraction(self):
         assert set(rational_roots(P([0, -2, 2]))) == {Fraction(0), Fraction(1)}
+
+    @pytest.mark.parametrize(
+        "coeffs,roots", [([0, 0, 5], (Fraction(0),)), ([5], ())], ids=["zero-roots-over-constant", "constant"]
+    )
+    def test_constant_core(self, coeffs, roots):
+        # Once its zero roots are stripped, p is a nonzero constant: it has
+        # no candidate, and 0 is a root exactly when a zero root was stripped.
+        p = P(coeffs)
+        assert polyroot.candidate_rows(p) == ()
+        assert rational_root_candidates(p) == ()
+        assert rational_roots(p) == roots
+
+    @pytest.mark.parametrize("function", [rational_roots, rational_root_candidates])
+    def test_zero_polynomial_rejected(self, function):
+        with pytest.raises(ValueError, match="^zero polynomial$"):
+            function(IntPolynomial(()))
 
     def test_candidates_descending(self):
         cands = rational_root_candidates(P([2, -6, 2]))
@@ -467,6 +496,11 @@ class TestIsolateMaxRoot:
 
     def test_no_real_roots(self):
         assert isolate_max_root(P([1, 0, 1])) is None
+
+    @pytest.mark.parametrize("coeffs", [[5], []], ids=["constant", "zero"])
+    def test_constant_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="^isolate_max_root requires a nonzero polynomial of degree >= 1$"):
+            isolate_max_root(P(coeffs))
 
     def test_rational_beats_smaller_irrational(self):
         # (u - 10) (u^2 - 2): max root is 10, not sqrt(2)
@@ -683,6 +717,12 @@ class TestRefine:
     def test_exact_unchanged(self):
         a = AlgebraicNumber.from_rational(Fraction(1))
         assert refine(a, Fraction(1, 10**30)) is a
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_non_positive_width_rejected(self, width):
+        root = isolate_max_root(P([-2, 0, 1]))
+        with pytest.raises(ValueError, match="^width must be positive$"):
+            refine(root, width)
 
     def test_sqrt_two(self):
         root = isolate_max_root(P([-2, 0, 1]))
