@@ -20,15 +20,15 @@ integer Horner at a point ``(a : b)``, ``b >= 0``, with +-infinity as
   power-of-two Fujiwara bound, and a narrowing by more than 64 bits runs
   quadratic interval refinement (QIR; Abbott, 2014), while shorter ones
   and ``clear_lower_end`` bisect;
-* one divisor walk, ``_positive_points``: it strips the zero roots and
-  lists the coprime quotients ``(r, s)``, r | c_0 and s | c_d, of the core,
-  from divisors by Pollard-Brent factoring with proven primality (a
-  cofactor neither proven prime nor split is refused with
-  :class:`InputError`).  ``candidate_rows``, the certificate trace, gives a
-  row ``(r, s, num, den)`` per point with ``p(r/s) = num/den``;
-  ``rational_root_candidates`` lists the quotients and their negatives;
-  ``rational_roots`` keeps those where the core vanishes at ``(+-r : s)``,
-  and 0 if zero roots were stripped;
+* one divisor walk, ``_positive_points``: the coprime ``(r, s)``, r | c_z
+  and s | c_d, ``c_z`` the lowest nonzero coefficient, from divisors by trial
+  division below 1001, then Miller-Rabin primality proofs and Pollard-Brent
+  factoring on one squaring budget (a cofactor unsplit and unproven, or past
+  256 bits, is refused with :class:`InputError`).  ``candidate_rows``, the
+  certificate trace, gives a row ``(r, s, num, den)`` per point with
+  ``p(r/s) = num/den``; ``rational_root_candidates`` lists the quotients and
+  their negatives; ``rational_roots`` keeps those where ``p`` vanishes at
+  ``(+-r : s)``, and 0 if ``c_0 = 0``;
 * ``cauchy_bound`` -- the classical radius ``1 + max |c_k / c_d|``
   enclosing every root.
 
@@ -393,20 +393,20 @@ def _divisors(m: int) -> list[int]:
     return sorted(divs)
 
 
-def _positive_points(p: IntPolynomial) -> tuple[IntPolynomial, list[tuple[int, int]]]:
-    """The core of ``p``, its zero roots stripped, and the distinct positive
-    candidates r/s with r | c_0 and s | c_d of the core, descending, as coprime
-    ``(r, s)``: over ``D = |c_d|`` each is ``k/D`` with the integer key ``k = r
-    (D/s)``, so the candidates are deduplicated and ordered as integers, and
-    one gcd per key reduces it."""
+def _positive_points(p: IntPolynomial) -> list[tuple[int, int]]:
+    """The distinct positive candidates r/s for the nonzero rational roots of
+    ``p = u^z core``, descending, as coprime ``(r, s)`` with r | c_z and s |
+    c_d, ``c_z`` the lowest nonzero coefficient; none if the core is constant.
+    Over ``D = |c_d|`` each is ``k/D`` with the integer key ``k = r (D/s)``, so
+    the candidates are deduplicated and ordered as integers, and one gcd per
+    key reduces it."""
     zeros = next((k for k, c in enumerate(p.coeffs) if c), 0)
-    core = IntPolynomial(p.coeffs[zeros:])
-    if core.degree < 1:
-        return core, []
-    lead = abs(core.coeffs[-1])
-    nums, dens = _divisors(core.coeffs[0]), _divisors(lead)
+    if p.degree - zeros < 1:
+        return []
+    lead = abs(p.coeffs[-1])
+    nums, dens = _divisors(p.coeffs[zeros]), _divisors(lead)
     keys = {r * (lead // s) for r in nums for s in dens}
-    return core, [(k // (g := gcd(k, lead)), lead // g) for k in sorted(keys, reverse=True)]
+    return [(k // (g := gcd(k, lead)), lead // g) for k in sorted(keys, reverse=True)]
 
 
 def candidate_rows(p: IntPolynomial) -> tuple[tuple[int, int, int, int], ...]:
@@ -414,7 +414,7 @@ def candidate_rows(p: IntPolynomial) -> tuple[tuple[int, int, int, int], ...]:
     ``p(r/s) = num/den``; each is ``s^d p(r/s)`` at ``(r : s)`` over ``s^d``,
     reduced by one gcd, so both fractions are in lowest terms."""
     rows, d = [], max(p.degree, 0)
-    for r, s in _positive_points(p)[1]:
+    for r, s in _positive_points(p):
         num, den = _scaled_value(p, r, s), s**d
         g = gcd(num, den)
         rows.append((r, s, num // g, den // g))
@@ -428,18 +428,19 @@ def rational_root_candidates(p: IntPolynomial) -> tuple[Fraction, ...]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    positive = tuple(Fraction(r, s) for r, s in _positive_points(p)[1])
+    positive = tuple(Fraction(r, s) for r, s in _positive_points(p))
     return positive + tuple(-c for c in reversed(positive))
 
 
 def rational_roots(p: IntPolynomial) -> tuple[Fraction, ...]:
     """All rational roots of ``p`` in lowest terms, descending: the candidates
-    ``+-r/s`` where the core vanishes at ``(+-r : s)``, and 0 if ``c_0 = 0``."""
+    ``+-r/s`` at which ``p`` itself vanishes, since ``p = u^z core`` vanishes
+    at ``r/s != 0`` exactly where its core does; and 0 if ``c_0 = 0``."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    core, points = _positive_points(p)
-    above = [Fraction(r, s) for r, s in points if _scaled_value(core, r, s) == 0]
-    below = [Fraction(-r, s) for r, s in reversed(points) if _scaled_value(core, -r, s) == 0]
+    points = _positive_points(p)
+    above = [Fraction(r, s) for r, s in points if _scaled_value(p, r, s) == 0]
+    below = [Fraction(-r, s) for r, s in reversed(points) if _scaled_value(p, -r, s) == 0]
     return tuple(above + [Fraction(0)] * (p.coeffs[0] == 0) + below)
 
 

@@ -30,7 +30,7 @@ from .numdata import (
     is_proportional,
     profile_from_matrix,
 )
-from .slope import IrrationalSlope, RationalSlope, SlopeResult, slope
+from .slope import SlopeResult, slope
 
 WITNESS_FOUND = "non-simple-witness-found"
 CONSISTENT = "consistent-with-simple"
@@ -107,12 +107,7 @@ def norm_slope_check(spec: NormClassSpec) -> NormCheckResult:
     proportional = is_proportional(profile)
     result = slope(profile)
     expected = Fraction(1, spec.exponent**2)
-    passed = (
-        proportional is None
-        and not result.infinite
-        and isinstance(result.rationality, RationalSlope)
-        and result.rationality.value == expected
-    )
+    passed = proportional is None and result.slope_fraction == expected
     return NormCheckResult(passed, expected, result, proportional)
 
 
@@ -166,21 +161,11 @@ def _scan_one(label: str, profile: IntersectionProfile) -> ScanEntry:
     if ratio is not None:
         return ScanEntry(label, profile, SKIPPED_PROPORTIONAL, ratio=ratio)
     result = slope(profile)
-    if result.infinite:
-        return ScanEntry(label, profile, INFINITE)
-    if isinstance(result.rationality, IrrationalSlope):
-        return ScanEntry(label, profile, IRRATIONAL)
-    p, q = result.rationality.p, result.rationality.q
-    boundary = binary_profile(profile, q, -p)
-    report = is_nef(boundary)
-    return ScanEntry(
-        label,
-        profile,
-        WITNESS,
-        slope_fraction=Fraction(p, q),
-        boundary=boundary,
-        boundary_report=report,
-    )
+    t = result.slope_fraction
+    if t is None:
+        return ScanEntry(label, profile, INFINITE if result.infinite else IRRATIONAL)
+    boundary = binary_profile(profile, t.denominator, -t.numerator)
+    return ScanEntry(label, profile, WITNESS, slope_fraction=t, boundary=boundary, boundary_report=is_nef(boundary))
 
 
 def scan(instances: Iterable[tuple[str, IntersectionProfile]], *, jobs: int = 1) -> SimplicityScan:

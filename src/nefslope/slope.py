@@ -198,36 +198,31 @@ def certify_rationality(profile: IntersectionProfile) -> RationalSlope | Irratio
 def slope_lower_bound(profile: IntersectionProfile) -> Fraction:
     """Coefficient lower bound for the threshold.
 
-    Requires ``-M`` not nef: the profile of ``-M`` against ``L`` is
-    ``(-1)^(n-k) v[k]``, so ``-M`` is nef when the entries at even ``n - k``
-    are all non-negative and those at odd ``n - k`` all non-positive.  Then
-    the threshold exceeds the reciprocal Cauchy radius of the profile
-    polynomial, ``(1 + max_k C(n,k) |v[k]| / v[n])^-1``.
+    Requires ``-M`` not nef.  The coefficient ``(-1)^(n-k) C(n,k) v[k]`` of
+    the profile polynomial chi is a positive multiple of the profile entry
+    ``(-1)^(n-k) v[k]`` of ``-M`` against ``L``, so ``-M`` is nef exactly
+    when no coefficient of chi is negative.  Otherwise the threshold exceeds
+    the reciprocal Cauchy radius of chi, ``(1 + max_k C(n,k) |v[k]| / v[n])^-1``.
     """
-    v = profile.v
-    if min(v[-1::-2]) >= 0 and max(v[-2::-2]) <= 0:
+    chi = chi_polynomial(profile)
+    if min(chi.coeffs) >= 0:
         raise NegationIsNef("-M is nef, the threshold is infinite and needs no bound")
-    return Fraction(1) / cauchy_bound(chi_polynomial(profile))
+    return Fraction(1) / cauchy_bound(chi)
 
 
 def slope_at_least(result: SlopeResult, bound: Fraction) -> bool:
     """Exact comparison ``threshold >= bound``; infinite thresholds dominate."""
-    if result.infinite:
-        return True
-    return compare_with_rational(result.slope, Fraction(bound)) >= 0
+    return result.infinite or compare_with_rational(result.slope, Fraction(bound)) >= 0
 
 
 def s_invariant(profile: IntersectionProfile) -> AlgebraicNumber | None:
     """The s-invariant of the divisor ideal attached to ``M``: the reciprocal
     of the threshold, i.e. the maximal root itself.
 
-    Returns None as an explicit marker when the threshold is infinite; no
-    numeric convention is invented for that case.
+    None, as for :attr:`SlopeResult.max_root`, is an explicit marker that the
+    threshold is infinite; no numeric convention is invented for that case.
     """
-    result = slope(profile)
-    if result.infinite:
-        return None
-    return result.max_root
+    return slope(profile).max_root
 
 
 def __getattr__(name):  # ``is_nef`` lives in ``simplicity``, which loads on first use

@@ -89,8 +89,7 @@ class TestIntPolynomial:
         p = P([2, -6, 2])
         assert p.to_json() == {"coeffs": ["2", "-6", "2"]}
 
-    def test_str(self):
-        assert str(P([2, -6, 2])) == "2*u^2 - 6*u + 2"
+    def test_str_of_zero(self):
         assert str(IntPolynomial(())) == "0"
 
 
