@@ -1,8 +1,8 @@
 """The top-level API: every exported name, and every name the benchmark imports,
 resolves, the CLI and ``scan`` accept the calls the benchmark makes, every
 committed benchmark record names what BENCHMARK.json declares, the README's
-library example prints what its comments say, and the library imports from
-the standard library alone."""
+library example prints what its comments say, the library imports from the
+standard library alone, and each of its modules reads every name it imports."""
 
 import ast
 import contextlib
