@@ -10,8 +10,9 @@ one module that checks the int-string limit: on input, on output (an
 :class:`Record` is the base of the package's frozen value types.  It stands
 in for ``dataclasses``, so neither start-up nor ``gen`` imports
 ``dataclasses`` and the ``inspect`` chain behind it, or compiles generated
-code per class.  Only the three scan records of ``simplicity`` stay
-dataclasses, for the benchmark's ``dataclasses.replace``.
+code per class; its default ``__init__`` stores the fields by position.
+Only the three scan records of ``simplicity`` stay dataclasses, for the
+benchmark's ``dataclasses.replace``.
 """
 
 import re
@@ -22,8 +23,11 @@ from .errors import AsymmetricInput, InputError
 
 
 class Record:
-    """Immutable value: a subclass names its fields in ``_fields`` and its
-    ``__init__`` checks them and stores each once, in the instance ``__dict__``.
+    """Immutable value: a subclass names its fields in ``_fields``, and the
+    default ``__init__`` stores one value per field, by position, in the
+    instance ``__dict__``.  A subclass writes its own ``__init__`` only to
+    check or default a field, or to store directly where ``scan`` builds it
+    once per instance.
 
     Assigning or deleting an attribute raises :class:`AttributeError`.
     Equality, hash and repr read the exact type and the declared fields
@@ -31,6 +35,11 @@ class Record:
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} value(s), got {len(values)}")
+        self.__dict__.update(zip(self._fields, values))
 
     def _values(self) -> tuple:
         d = self.__dict__

@@ -125,19 +125,11 @@ class ValidationLevel(enum.IntEnum):
 
 
 class Violation(Record):
-    _fields = ("check", "message", "witness")
-
-    def __init__(self, check: str, message: str, witness: tuple = ()):
-        d = self.__dict__
-        d["check"], d["message"], d["witness"] = check, message, witness
+    _fields = ("check", "message")
 
 
 class ValidationReport(Record):
-    _fields = ("level", "violations")
-
-    def __init__(self, level: ValidationLevel, violations: tuple[Violation, ...]):
-        d = self.__dict__
-        d["level"], d["violations"] = level, violations
+    _fields = ("violations",)
 
     @property
     def ok(self) -> bool:
@@ -161,26 +153,22 @@ def validate(p: IntersectionProfile, level: ValidationLevel) -> ValidationReport
         real = sturm_count(chain, NEG_INF, POS_INF)
         if real != h.degree:
             violations.append(
-                Violation(
-                    "real-rooted",
-                    f"square-free part {h} has {real} distinct real roots but degree {h.degree}",
-                    (str(h), real),
-                )
+                Violation("real-rooted", f"square-free part {h} has {real} distinct real roots but degree {h.degree}")
             )
     if level >= ValidationLevel.SURFACE_HODGE and (hodge := hodge_violation(p)):
         violations.append(hodge)
-    return ValidationReport(level, tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def hodge_violation(p: IntersectionProfile) -> Violation | None:
     """None when ``p`` is a surface profile ``(M^2, L.M, L^2)`` with the index
     inequality ``(L.M)^2 >= L^2 M^2``, else the violation, naming both sides."""
     if p.n != 2:
-        return Violation("hodge-index", f"surface check requires n=2, got n={p.n}", (p.n,))
+        return Violation("hodge-index", f"surface check requires n=2, got n={p.n}")
     lm2, l2m2 = p.v[1] * p.v[1], p.v[2] * p.v[0]
     if lm2 >= l2m2:
         return None
-    return Violation("hodge-index", f"(L.M)^2 = {describe_int(lm2)} < L^2 M^2 = {describe_int(l2m2)}", (lm2, l2m2))
+    return Violation("hodge-index", f"(L.M)^2 = {describe_int(lm2)} < L^2 M^2 = {describe_int(l2m2)}")
 
 
 # ---------------------------------------------------------------------------

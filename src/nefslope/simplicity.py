@@ -30,7 +30,7 @@ from .numdata import (
     is_proportional,
     profile_from_matrix,
 )
-from .slope import SlopeResult, slope
+from .slope import slope
 
 WITNESS_FOUND = "non-simple-witness-found"
 CONSISTENT = "consistent-with-simple"
@@ -93,11 +93,7 @@ def norm_class(spec: NormClassSpec) -> SymMatrixModel:
 
 
 class NormCheckResult(Record):
-    _fields = ("passed", "expected", "result", "proportional")
-
-    def __init__(self, passed: bool, expected: Fraction, result: SlopeResult, proportional: Fraction | None):
-        d = self.__dict__
-        d["passed"], d["expected"], d["result"], d["proportional"] = passed, expected, result, proportional
+    _fields = ("passed", "result", "proportional")
 
 
 def norm_slope_check(spec: NormClassSpec) -> NormCheckResult:
@@ -106,9 +102,8 @@ def norm_slope_check(spec: NormClassSpec) -> NormCheckResult:
     profile = profile_from_matrix(norm_class(spec))
     proportional = is_proportional(profile)
     result = slope(profile)
-    expected = Fraction(1, spec.exponent**2)
-    passed = proportional is None and result.slope_fraction == expected
-    return NormCheckResult(passed, expected, result, proportional)
+    passed = proportional is None and result.slope_fraction == Fraction(1, spec.exponent**2)
+    return NormCheckResult(passed, result, proportional)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ denominator at most ``D`` either exhibits the root or certifies that the
 maximum is irrational.  The replayable divisor-quotient enumeration of the
 paper is kept as a :class:`CandidateTrace`, computed when it is read.
 
-A result holds one number, the maximal root, and derives the threshold
-from it; display refinement refines that root once, which bounds both
-emitted intervals (see :meth:`SlopeResult.refined`).
+A result holds the maximal root and the profile polynomial, and derives the
+threshold and its certificate from them when read; display refinement refines
+the root once, which bounds both emitted intervals (see :meth:`SlopeResult.refined`).
 """
 
 from fractions import Fraction
@@ -51,9 +51,6 @@ class CandidateTrace(Record):
 
     _fields = ("chi",)
 
-    def __init__(self, chi: IntPolynomial):
-        self.__dict__["chi"] = chi
-
     @cached_property
     def rows(self) -> tuple[tuple[int, int, int, int], ...]:
         return candidate_rows(self.chi)
@@ -74,10 +71,6 @@ class RationalSlope(Record):
 
     _fields = ("p", "q", "trace")
 
-    def __init__(self, p: int, q: int, trace: CandidateTrace):
-        d = self.__dict__
-        d["p"], d["q"], d["trace"] = p, q, trace
-
     @property
     def value(self) -> Fraction:
         return Fraction(self.p, self.q)
@@ -96,9 +89,6 @@ class IrrationalSlope(Record):
 
     _fields = ("trace",)
 
-    def __init__(self, trace: CandidateTrace):
-        self.__dict__["trace"] = trace
-
     def to_json(self) -> dict:
         return {"verdict": "irrational", "trace": self.trace.to_json()}
 
@@ -106,18 +96,18 @@ class IrrationalSlope(Record):
 class SlopeResult(Record):
     """Threshold of a pair: infinite, or finite with rationality certificate.
 
-    A finite result holds one number, ``max_root``: the maximal real root of
-    the profile polynomial, with an isolating interval ``(lo, hi]`` whose
-    ``lo`` is positive and not a root.  The threshold ``slope`` is its
-    reciprocal, derived on first access with the interval ``(1/hi, 1/lo]``
-    and the coefficient reversal of the defining polynomial.
+    A finite result holds the maximal real root ``max_root`` of the profile
+    polynomial ``chi``, with an isolating interval ``(lo, hi]`` whose ``lo``
+    is positive and not a root, and ``chi``; an infinite one holds neither.
+    The threshold ``slope`` (interval ``(1/hi, 1/lo]``), its rational value
+    ``slope_fraction`` and the certificate ``rationality`` are derived when read.
     """
 
-    _fields = ("max_root", "rationality")
+    _fields = ("max_root", "chi")
 
-    def __init__(self, max_root: AlgebraicNumber | None, rationality: RationalSlope | IrrationalSlope | None):
+    def __init__(self, max_root: AlgebraicNumber | None, chi: IntPolynomial | None):
         d = self.__dict__
-        d["max_root"], d["rationality"] = max_root, rationality
+        d["max_root"], d["chi"] = max_root, chi
 
     @property
     def infinite(self) -> bool:
@@ -129,9 +119,15 @@ class SlopeResult(Record):
 
     @property
     def slope_fraction(self) -> Fraction | None:
-        if isinstance(self.rationality, RationalSlope):
-            return self.rationality.value
-        return None
+        exact = None if self.infinite else self.max_root.exact
+        return None if exact is None else 1 / exact
+
+    @cached_property
+    def rationality(self) -> RationalSlope | IrrationalSlope | None:
+        if self.infinite:
+            return None
+        value, trace = self.slope_fraction, CandidateTrace(self.chi)
+        return IrrationalSlope(trace) if value is None else RationalSlope(value.numerator, value.denominator, trace)
 
     def refined(self, width: Fraction) -> "SlopeResult":
         """Both intervals at most ``width`` wide, the root's possibly narrower:
@@ -141,7 +137,7 @@ class SlopeResult(Record):
         if self.infinite or self.max_root.exact is not None:
             return self
         lo = self.max_root.interval[0]
-        return SlopeResult(refine(self.max_root, width * min(1, lo * lo)), self.rationality)
+        return SlopeResult(refine(self.max_root, width * min(1, lo * lo)), self.chi)
 
     def to_json(self) -> dict:
         if self.infinite:
@@ -174,14 +170,10 @@ def slope(profile: IntersectionProfile) -> SlopeResult:
     best = isolate_max_root(chi)
     if best is None or compare_with_rational(best, 0) <= 0:
         return SlopeResult(None, None)
-    trace = CandidateTrace(chi)
-    if best.exact is not None:
-        value = 1 / best.exact
-        rationality = RationalSlope(value.numerator, value.denominator, trace)
+    result = SlopeResult(clear_lower_end(best), chi)
+    if (value := result.slope_fraction) is not None:
         _check_divisibility(value.numerator, value.denominator, profile)
-    else:
-        rationality = IrrationalSlope(trace)
-    return SlopeResult(clear_lower_end(best), rationality)
+    return result
 
 
 def certify_rationality(profile: IntersectionProfile) -> RationalSlope | IrrationalSlope:

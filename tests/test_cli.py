@@ -95,6 +95,13 @@ class TestSlopeCommand:
         assert payload["kind"] == "finite"
         assert "slope" in err
 
+    def test_output_into_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "cert.json"
+        code, payload, err = run(capsys, ["slope", "--input", SURFACE_IRRATIONAL, "--output", str(target)])
+        assert (code, payload) == (2, None)
+        assert err.startswith("input error: cannot write output:")
+        assert not target.exists()
+
 
 class TestNefCommand:
     def test_nef_report(self, capsys):
@@ -109,12 +116,24 @@ class TestNefCommand:
         assert payload["verdict"] == "not-nef"
         assert payload["witness_k"] == 0
 
+    def test_ample_summary(self, capsys):
+        code, payload, err = run(capsys, ["nef", "--input", '{"n": 2, "v": [1, 3, 2]}'])
+        assert code == 0
+        assert (payload["verdict"], payload["ample"]) == ("nef", True)
+        assert err == "nefness: nef, ample\n"
+
 
 class TestCertifyCommand:
     def test_rational(self, capsys):
         code, payload, _ = run(capsys, ["certify", "--input", '{"n": 2, "v": [3, 5, 3]}'])
         assert code == 0
         assert (payload["p"], payload["q"]) == ("1", "3")
+
+    def test_irrational(self, capsys):
+        code, payload, err = run(capsys, ["certify", "--input", SURFACE_IRRATIONAL])
+        assert code == 0
+        assert payload["verdict"] == "irrational" and payload["trace"]
+        assert err == "rationality: irrational\n"
 
     def test_rejects_width(self, capsys):
         # Only slope refines, so certify and the other subcommands take no --width.
@@ -173,6 +192,17 @@ class TestScanCommand:
         assert code == 2
         assert payload is None
         assert err == "input error: scan input must be a JSON array of instances\n"
+
+    def test_non_object_instance_rejected(self, capsys):
+        code, payload, err = run(capsys, ["scan", "--input", "[1]"])
+        assert (code, payload) == (2, None)
+        assert err == "input error: instance 0 is not a JSON object\n"
+
+    def test_proportional_entry_carries_its_ratio(self, capsys):
+        code, payload, _ = run(capsys, ["scan", "--input", '[{"n": 2, "v": [4, 2, 1]}]'])
+        assert code == 0
+        assert payload["entries"][0]["verdict"] == "skipped-proportional"
+        assert payload["entries"][0]["ratio"] == "2"
 
     def test_jobs_flag(self, capsys):
         code_serial, payload_serial, _ = run(capsys, ["scan", "--input", SCAN_INPUT])
@@ -276,6 +306,7 @@ class TestErrorHandling:
             (["--input", SURFACE_IRRATIONAL, "--width", "abc"], "width:"),
             (["--input", SURFACE_IRRATIONAL, "--width", ""], "width: not a rational: ''"),
             (["--input", SURFACE_IRRATIONAL, "--width", "1e-100000"], "width:"),
+            (["--input", SURFACE_IRRATIONAL, "--width", "1e-2000"], "width: must be at least 2^-4096, got 1e-2000"),
             (["--input", '{"n": 2, "Ln": "2", "F": [["1e-5000", "0"], ["0", "0"]]}'], "F[0][0]:"),
             (["--input", SURFACE_IRRATIONAL, "--width", "1e-3000000"], "width:"),
             (["--input", '{"n": 2, "Ln": "2", "F": [[1, 2], [3, 1]]}'], "F[1][0]:"),
@@ -287,6 +318,9 @@ class TestErrorHandling:
             (["--input", "[" * 3000 + "]" * 3000], "malformed JSON: arrays and objects are nested too deeply"),
             (["--input", '{"n": 2, "v": ["x", 3, 2]}'], "v[0]: not a decimal integer: 'x'"),
             (["--input", '{"n": 2, "F": [["1","0"],["0","0"]]}'], "matrix JSON must be an object with 'n', 'Ln' and 'F'"),
+            (["--input", '{"n": 2, "Ln": "2", "F": [[1.5, 0], [0, 0]]}'],
+             "F[0][0]: expected a rational or 'p/q' string, got 1.5"),
+            (["--input", "[1, 2]"], "profile JSON must be an object with 'n' and 'v'"),
         ],
         ids=[
             "null-array",
@@ -294,6 +328,7 @@ class TestErrorHandling:
             "short-profile",
             "bad-width",
             "empty-width",
+            "width-exponent-past-digit-limit",
             "width-below-floor",
             "oversized-exponent",
             "oversized-width-exponent",
@@ -306,6 +341,8 @@ class TestErrorHandling:
             "deep-nesting",
             "non-decimal-entry",
             "matrix-without-Ln",
+            "float-matrix-entry",
+            "profile-not-an-object",
         ],
     )
     def test_typed_input_error(self, capsys, tmp_path, command, field):

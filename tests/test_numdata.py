@@ -278,7 +278,7 @@ class TestValidate:
         report = validate(IntersectionProfile(2, (2, 1, 2)), ValidationLevel.SURFACE_HODGE)
         assert not report.ok
         hodge = next(v for v in report.violations if v.check == "hodge-index")
-        assert hodge.witness == (1, 4)
+        assert hodge.message == "(L.M)^2 = 1 < L^2 M^2 = 4"
 
     @pytest.mark.parametrize(
         "args,message",

@@ -12,7 +12,6 @@ from nefslope.generators import GenSpec
 from nefslope.numdata import (
     IntersectionProfile,
     SymMatrixModel,
-    ValidationLevel,
     ValidationReport,
     Violation,
 )
@@ -39,7 +38,7 @@ RECORDS = [
     IntersectionProfile(2, (1, 2, 3)),
     SymMatrixModel(1, ((1,),), 1),
     Violation("hodge-index", "message"),
-    ValidationReport(ValidationLevel.SPECTRAL, ()),
+    ValidationReport(()),
     TRACE,
     RationalSlope(1, 2, TRACE),
     IrrationalSlope(TRACE),
@@ -87,6 +86,34 @@ def test_equality_goes_by_exact_type_and_fields():
     assert IntPolynomial((1, 2)) != (1, 2)
 
 
+def test_default_constructor_takes_one_value_per_field():
+    with pytest.raises(TypeError, match=r"^RationalSlope takes 3 value\(s\), got 2$"):
+        RationalSlope(1, 2)
+    with pytest.raises(TypeError, match=r"^IrrationalSlope takes 1 value\(s\), got 2$"):
+        IrrationalSlope(TRACE, TRACE)
+    with pytest.raises(TypeError):
+        Violation(check="c", message="m")
+
+
+def test_own_init_only_to_check_default_or_store_per_scanned_instance():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    own = {c.__name__ for c in subclasses(Record) if c.__module__.startswith("nefslope.") and "__init__" in vars(c)}
+    assert own == {
+        "IntPolynomial",  # checks
+        "SturmChain",  # built per scanned instance
+        "AlgebraicNumber",  # defaults ``exact``
+        "IntersectionProfile",  # checks
+        "SymMatrixModel",  # checks
+        "SlopeResult",  # built per scanned instance
+        "GenSpec",  # checks
+        "NormClassSpec",  # checks
+    }
+
+
 def test_gen_spec_keywords_and_defaults_match_positions():
     spec = GenSpec("surface", seed=3, count=4)
     assert spec == GenSpec("surface", 3, 4, 2, 10) and hash(spec) == hash(GenSpec("surface", 3, 4, 2, 10))
@@ -95,16 +122,17 @@ def test_gen_spec_keywords_and_defaults_match_positions():
 
 def test_repr_names_the_fields():
     assert repr(IntPolynomial((1, 2))) == "IntPolynomial(coeffs=(1, 2))"
-    assert repr(Violation("c", "m")) == "Violation(check='c', message='m', witness=())"
-    assert repr(SlopeResult(None, None)) == "SlopeResult(max_root=None, rationality=None)"
+    assert repr(Violation("c", "m")) == "Violation(check='c', message='m')"
+    assert repr(SlopeResult(None, None)) == "SlopeResult(max_root=None, chi=None)"
     assert repr(GenSpec("surface", 1, 2)) == "GenSpec(kind='surface', seed=1, count=2, n=2, bound=10)"
 
 
 def test_filled_cached_properties_leave_equality_and_hash():
     result = slope(IntersectionProfile(2, (-1, 1, 2)))
-    twin = SlopeResult(result.max_root, result.rationality)
+    twin = SlopeResult(result.max_root, result.chi)
     before = hash(result), repr(result)
-    assert result.slope is not None and "slope" in vars(result) and "slope" not in vars(twin)
+    assert result.slope is not None and result.rationality is not None
+    assert {"slope", "rationality"} <= set(vars(result)) and not {"slope", "rationality"} & set(vars(twin))
     assert result == twin and (hash(result), repr(result)) == before == (hash(twin), repr(twin))
 
     trace = CandidateTrace(chi_polynomial(IntersectionProfile(2, (1, 4, 2))))

@@ -1,5 +1,6 @@
 """Tests for nefness, the threshold engine and its certificates."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from nefslope.numdata import (
     profile_from_matrix,
 )
 from nefslope.polyroot import IntPolynomial, cauchy_bound, chi_polynomial, compare_with_rational, refine
-from nefslope.simplicity import IRRATIONAL, scan
+from nefslope.simplicity import INFINITE, IRRATIONAL, WITNESS, scan
 from nefslope.slope import (
     CandidateTrace,
     IrrationalSlope,
@@ -246,6 +247,34 @@ class TestCertify:
                 top_m = profile.v[0]
                 assert top_l % result.rationality.p == 0
                 assert top_m % result.rationality.q == 0
+
+
+class TestCertificateWhenRead:
+    def test_scan_builds_no_certificate(self, monkeypatch):
+        def refuse(chi):
+            raise AssertionError("scan built a candidate trace")
+
+        monkeypatch.setattr(importlib.import_module("nefslope.slope"), "CandidateTrace", refuse)
+        instances = [("norm", surface(0, 1, 2)), ("generic", surface(2, 3, 2)), ("negative", surface(2, -3, 2))]
+        result = scan(instances)
+        assert [e.verdict for e in result.entries] == [WITNESS, IRRATIONAL, INFINITE]
+        assert result.entries[0].slope_fraction == 1
+
+    @pytest.mark.parametrize("kind,n", [("surface", 2), ("rational-matrix", 3), ("product-matrix", 4)])
+    def test_rationality_is_cached_and_survives_refinement(self, kind, n):
+        for profile in profiles_from(GenSpec(kind, seed=11, count=8, n=n, bound=6)):
+            result = slope(profile)
+            cert = result.rationality
+            assert result.rationality is cert and vars(result)["rationality"] is cert
+            if result.infinite:
+                assert cert is None and result.slope_fraction is None
+                continue
+            assert cert == result.refined(Fraction(1, 2**64)).rationality
+            assert isinstance(cert, RationalSlope) == (result.slope_fraction is not None)
+            if isinstance(cert, RationalSlope):
+                assert Fraction(cert.p, cert.q) == result.slope_fraction
+            else:
+                assert isinstance(cert, IrrationalSlope)
 
 
 class TestLowerBound:
