@@ -209,9 +209,6 @@ class SturmChain(Record):
 
     _fields = ("polys",)
 
-    def __init__(self, polys: tuple[IntPolynomial, ...]):
-        self.__dict__["polys"] = polys
-
 
 def sturm_chain(p: IntPolynomial) -> SturmChain:
     """Sturm chain of the square-free part of ``p``.

@@ -25,7 +25,6 @@ from .exactio import Record, format_int, format_ratio
 from .numdata import IntersectionProfile
 from .polyroot import (
     AlgebraicNumber,
-    IntPolynomial,
     candidate_rows,
     cauchy_bound,
     chi_polynomial,
@@ -105,10 +104,6 @@ class SlopeResult(Record):
 
     _fields = ("max_root", "chi")
 
-    def __init__(self, max_root: AlgebraicNumber | None, chi: IntPolynomial | None):
-        d = self.__dict__
-        d["max_root"], d["chi"] = max_root, chi
-
     @property
     def infinite(self) -> bool:
         return self.max_root is None
@@ -170,10 +165,9 @@ def slope(profile: IntersectionProfile) -> SlopeResult:
     best = isolate_max_root(chi)
     if best is None or compare_with_rational(best, 0) <= 0:
         return SlopeResult(None, None)
-    result = SlopeResult(clear_lower_end(best), chi)
-    if (value := result.slope_fraction) is not None:
-        _check_divisibility(value.numerator, value.denominator, profile)
-    return result
+    if (exact := best.exact) is not None:  # the threshold is 1/exact, and exact > 0
+        _check_divisibility(exact.denominator, exact.numerator, profile)
+    return SlopeResult(clear_lower_end(best), chi)
 
 
 def certify_rationality(profile: IntersectionProfile) -> RationalSlope | IrrationalSlope:

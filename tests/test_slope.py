@@ -1,6 +1,5 @@
 """Tests for nefness, the threshold engine and its certificates."""
 
-import importlib
 import random
 from fractions import Fraction
 
@@ -251,10 +250,10 @@ class TestCertify:
 
 class TestCertificateWhenRead:
     def test_scan_builds_no_certificate(self, monkeypatch):
-        def refuse(chi):
+        def refuse(self, *values):
             raise AssertionError("scan built a candidate trace")
 
-        monkeypatch.setattr(importlib.import_module("nefslope.slope"), "CandidateTrace", refuse)
+        monkeypatch.setattr(CandidateTrace, "__init__", refuse)
         instances = [("norm", surface(0, 1, 2)), ("generic", surface(2, 3, 2)), ("negative", surface(2, -3, 2))]
         result = scan(instances)
         assert [e.verdict for e in result.entries] == [WITNESS, IRRATIONAL, INFINITE]
@@ -275,6 +274,12 @@ class TestCertificateWhenRead:
                 assert Fraction(cert.p, cert.q) == result.slope_fraction
             else:
                 assert isinstance(cert, IrrationalSlope)
+
+    def test_divisor_check_gets_the_threshold(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(slope.__globals__, "_check_divisibility", lambda p, q, profile: seen.append(Fraction(p, q)))
+        results = [slope(p) for p in profiles_from(GenSpec("rational-matrix", seed=11, count=8, n=3, bound=6))]
+        assert seen and seen == [r.slope_fraction for r in results if r.slope_fraction is not None]
 
 
 class TestLowerBound:
