@@ -146,11 +146,7 @@ def _cmd_scan(args):
 def _cmd_gen(args):
     from . import generators
     spec = generators.GenSpec(kind=args.kind, seed=args.seed, count=args.count, n=args.n, bound=args.bound)
-    out = []
-    for idx, inst in enumerate(generators.gen_random(spec)):
-        record = {"label": f"{args.kind}-{idx}"}
-        record.update(inst.to_json())
-        out.append(record)
+    out = [{"label": f"{args.kind}-{idx}", **inst.to_json()} for idx, inst in enumerate(generators.gen_random(spec))]
     return out, f"gen: {len(out)} {args.kind} instance(s), seed {args.seed}", EXIT_OK
 
 
@@ -172,26 +168,20 @@ def build_parser() -> argparse.ArgumentParser:
             help="input validation level (default: syntactic)",
         )
 
-    p = sub.add_parser("slope", help="nef threshold with rationality certificate")
-    add_common(p)
-    p.add_argument(
+    for name, text, report in (
+        ("slope", "nef threshold with rationality certificate", _slope),
+        ("nef", "coordinate-wise nefness test of a bundle profile", _nef),
+        ("certify", "rationality certificate of a finite threshold", _certify),
+        ("bound", "coefficient lower bound for the threshold", _bound),
+    ):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.set_defaults(func=_cmd_profile, report=report)
+    sub.choices["slope"].add_argument(
         "--width",
         default=None,
         help="refinement width for displayed intervals (rational, e.g. 1/1000000 or 1e-12)",
     )
-    p.set_defaults(func=_cmd_profile, report=_slope)
-
-    p = sub.add_parser("nef", help="coordinate-wise nefness test of a bundle profile")
-    add_common(p)
-    p.set_defaults(func=_cmd_profile, report=_nef)
-
-    p = sub.add_parser("certify", help="rationality certificate of a finite threshold")
-    add_common(p)
-    p.set_defaults(func=_cmd_profile, report=_certify)
-
-    p = sub.add_parser("bound", help="coefficient lower bound for the threshold")
-    add_common(p)
-    p.set_defaults(func=_cmd_profile, report=_bound)
 
     p = sub.add_parser("scan", help="scan labelled instances for non-simplicity witnesses")
     add_common(p)

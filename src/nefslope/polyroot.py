@@ -41,7 +41,7 @@ field is set; no numeric equality test against rationals is ever needed.
 """
 
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, gcd, isinf, isqrt, lcm
@@ -493,62 +493,65 @@ class AlgebraicNumber(Record):
         }
 
 
-#: Grid size past which :func:`refine` runs QIR: a narrowing by more than 64
+#: Grid size past which :func:`_bisect` runs QIR: a narrowing by more than 64
 #: bits.  Shorter ones bisect: there QIR's small grids gain little more than
 #: a bit per evaluation, plus one evaluation at ``lo``, and measured slower.
 _QIR_CELLS = 2**64
 
 
-def _bisect(
-    p: IntPolynomial,
-    lo: Fraction,
-    hi: Fraction,
-    done: Callable[[int, int, int], bool],
-    cells: Callable[[int, int, int], int] | None = None,
-) -> AlgebraicNumber:
-    """Narrow ``(lo, hi]``, isolating a root of ``p``, until ``done(a, c, b)``
-    holds for its ends ``(a/b, c/b]`` or an evaluated point is the root.
+def _cells(a: int, c: int, b: int, width: Fraction) -> int:
+    """The least ``2^k`` with ``(c - a) / (b 2^k) <= width``."""
+    return 1 << (((c - a) * width.denominator - 1) // (width.numerator * b)).bit_length()
+
+
+def _bisect(p: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction | None = None) -> AlgebraicNumber:
+    """Narrow ``(lo, hi]``, isolating a root of ``p``, until an evaluated
+    point is the root or the ends ``(a/b, c/b]`` meet the stopping rule:
+    with a ``width``, ``c/b - a/b <= width``; without one, the interval
+    keeps clear of 0 and ``p(a/b) != 0``.
 
     Bisection doubles ``b`` and the kept end, so the midpoint is ``(a + c :
-    2b)`` and no fraction is reduced.  ``cells(a, c, b)``, if given, is the
-    power-of-two grid size that reaches the target; past ``_QIR_CELLS`` the
-    steps are quadratic interval refinement (QIR; Abbott, 2014): the secant
-    through the scaled values at both ends guesses a cell of an ``N``-cell
-    grid with points ``(a N + j (c - a) : b N)``, and the signs at the ends
-    of that cell check it.  A hit keeps the cell and squares ``N``; a miss
-    takes ``N`` to ``max(4, isqrt N)`` and one bisection step.  Only signs
-    equal to or opposite that at ``hi`` are read: ``lo`` may be a root below
-    the number, and its value steers the secant only.
+    2b)`` and no fraction is reduced.  With a ``width``, the power-of-two
+    grid size that reaches it chooses the steps: past ``_QIR_CELLS`` they are
+    quadratic interval refinement (QIR; Abbott, 2014): the secant through the
+    scaled values at both ends guesses a cell of an ``N``-cell grid with
+    points ``(a N + j (c - a) : b N)``, and the signs at the ends of that
+    cell check it.  A hit keeps the cell and squares ``N``; a miss takes
+    ``N`` to ``max(4, isqrt N)`` and one bisection step.  Only signs equal
+    to or opposite that at ``hi`` are read: ``lo`` may be a root below the
+    number, and its value steers the secant only.
     """
     b = lcm(lo.denominator, hi.denominator)
     a, c = lo.numerator * (b // lo.denominator), hi.numerator * (b // hi.denominator)
+    if width is not None:
+        num, den = width.numerator, width.denominator
     d, v_hi = p.degree, None
-    while not done(a, c, b):
+    while not ((c - a) * den <= num * b if width is not None else (a > 0 or c < 0) and _scaled_value(p, a, b) != 0):
         if v_hi is None:
             # The first step takes the value at hi, and for QIR at lo.
             v_hi = _scaled_value(p, c, b)
             if v_hi == 0:
                 return AlgebraicNumber.from_rational(hi)
             s_hi = _sgn(v_hi)
-            n = 4 if cells and cells(a, c, b) > _QIR_CELLS else 0
+            n = 4 if width is not None and _cells(a, c, b, width) > _QIR_CELLS else 0
             v_lo = _scaled_value(p, a, b) if n else 0
         if n:
-            m = min(n, cells(a, c, b))
+            m = min(n, _cells(a, c, b, width))
             # The secant crosses zero at the share v_lo / (v_lo - v_hi) of the
             # interval; the guess is the nearest inner grid point.
             t, u = -s_hi * v_lo * m, s_hi * (v_hi - v_lo)
             j = min(max((2 * t + u) // (2 * u), 1), m - 1)
-            step, base, den = c - a, a * m, b * m
-            v = _scaled_value(p, base + j * step, den)
+            step, base, bm = c - a, a * m, b * m
+            v = _scaled_value(p, base + j * step, bm)
             if v == 0:
-                return AlgebraicNumber.from_rational(Fraction(base + j * step, den))
+                return AlgebraicNumber.from_rational(Fraction(base + j * step, bm))
             k = j - 1 if _sgn(v) == s_hi else j + 1
             if k == 0 or k == m:
                 w = (v_lo if k == 0 else v_hi) * m**d
-            elif (w := _scaled_value(p, base + k * step, den)) == 0:
-                return AlgebraicNumber.from_rational(Fraction(base + k * step, den))
+            elif (w := _scaled_value(p, base + k * step, bm)) == 0:
+                return AlgebraicNumber.from_rational(Fraction(base + k * step, bm))
             if _sgn(w) != _sgn(v):
-                a, b, n = base + min(j, k) * step, den, n * n
+                a, b, n = base + min(j, k) * step, bm, n * n
                 c, (v_lo, v_hi) = a + step, ((w, v) if k < j else (v, w))
                 continue
             n = max(4, isqrt(n))
@@ -566,21 +569,15 @@ def _bisect(
 def refine(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
     """Shrink the isolating interval to length <= ``width``; exact values pass through.
 
-    A narrowing by more than 64 bits runs QIR on the grid sizes that
-    :func:`_bisect` takes from the target; a shorter one bisects.
+    A narrowing by more than 64 bits runs QIR, a shorter one bisects; see
+    :func:`_bisect`.
     """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     if a.exact is not None:
         return a
-    num, den = width.numerator, width.denominator
-
-    def cells(lo: int, hi: int, b: int) -> int:
-        """The least ``2^k`` with ``(hi - lo) / (b 2^k) <= width``."""
-        return 1 << (((hi - lo) * den - 1) // (num * b)).bit_length()
-
-    return _bisect(a.minpoly_factor, *a.interval, lambda lo, hi, b: (hi - lo) * den <= num * b, cells)
+    return _bisect(a.minpoly_factor, *a.interval, width)
 
 
 def clear_lower_end(a: AlgebraicNumber) -> AlgebraicNumber:
@@ -593,8 +590,7 @@ def clear_lower_end(a: AlgebraicNumber) -> AlgebraicNumber:
     """
     if a.exact is not None:
         return a
-    p = a.minpoly_factor
-    return _bisect(p, *a.interval, lambda lo, hi, b: (lo > 0 or hi < 0) and _scaled_value(p, lo, b) != 0)
+    return _bisect(a.minpoly_factor, *a.interval)
 
 
 def compare_with_rational(a: AlgebraicNumber, value: Fraction | int) -> int:
@@ -668,7 +664,7 @@ def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
     floor(D hi)``; one exact evaluation decides it.  An irrational root keeps
     that narrowed interval.
     """
-    if p.is_zero or p.degree < 1:
+    if p.degree < 1:
         raise ValueError("isolate_max_root requires a nonzero polynomial of degree >= 1")
     chain = sturm_chain(p)
     h = chain.polys[0]

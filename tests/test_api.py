@@ -2,7 +2,8 @@
 resolves, the CLI and ``scan`` accept the calls the benchmark makes, every
 committed benchmark record names what BENCHMARK.json declares, the README's
 library example prints what its comments say, the library imports from the
-standard library alone, and each of its modules reads every name it imports."""
+standard library alone, each of its modules reads every name it imports, and
+the package reads every private name it defines."""
 
 import ast
 import contextlib
@@ -119,6 +120,30 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_every_private_name_is_read():
+    # Code only the tests hold gets deleted: each module-level name with one
+    # leading underscore is read, as a name or an attribute, by some
+    # top-level statement of the package other than its own definition.
+    defined, read = {}, set()
+    for path in sorted((ROOT / "src" / "nefslope").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+            else:
+                own = set()
+            defined.update((name, path.name) for name in own if name.startswith("_") and not name.startswith("__"))
+            read |= {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+            } - own
+    assert defined
+    assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in read) == []
 
 
 def test_scan_accepts_jobs():

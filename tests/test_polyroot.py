@@ -750,6 +750,23 @@ class TestRefine:
         assert tight.interval[1] - tight.interval[0] <= Fraction(1, 2**64)
         assert in_interval_surd(*tight.interval, Fraction(0), Fraction(1), 2)
 
+    def test_qir_threshold(self, monkeypatch):
+        # Narrowing (1, 2] to 2^-64 is a grid of exactly _QIR_CELLS cells and
+        # bisects, point for point; one more bit runs QIR.
+        root = AlgebraicNumber(P([-2, 0, 1]), (Fraction(1), Fraction(2)))
+        ref, points = _FractionBisection(), []
+        expected = ref.refine(root, Fraction(1, 2**64))
+        assert len(ref.points) == 65
+        with monkeypatch.context() as m:
+            m.setattr(polyroot, "_scaled_value", _recording(polyroot._scaled_value, 65, points))
+            assert refine(root, Fraction(1, 2**64)) == expected
+        assert points == ref.points
+        with monkeypatch.context() as m:
+            m.setattr(polyroot, "_scaled_value", _recording(polyroot._scaled_value, 14))
+            tight = refine(root, Fraction(1, 2**65))
+        assert tight.interval[1] - tight.interval[0] <= Fraction(1, 2**65)
+        assert in_interval_surd(*tight.interval, Fraction(0), Fraction(1), 2)
+
     def test_root_at_upper_end(self):
         # u - 1 on (0, 1]: the root is the end hi itself
         a = AlgebraicNumber(P([-1, 1]), (Fraction(0), Fraction(1)))
