@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_width(flag: str | None) -> Fraction:
+def _parse_width(flag: str | None) -> int | Fraction:
     width = DEFAULT_WIDTH if flag is None else parse_rational(flag, "width")
     # Refinement keeps an irrational root's ends over one denominator of
     # about log2(1/width) bits, so the floor bounds those integers.

@@ -7,6 +7,13 @@ error they raise, as do the checks that records run when built.  This is the
 one module that checks the int-string limit: on input, on output (an
 :class:`InputError`) and in messages (a bit length).
 
+Each number is parsed once, into its canonical exact value: an ``int`` when
+it is integral, a ``Fraction`` only for a true ``p/q`` or decimal.  A string
+no longer than the int-string limit is first tried with ``int(text, 10)``;
+when that accepts it, the digit scan is skipped, which is safe because such
+a string has no more digits than characters and no exponent.  Every other
+string is scanned and parsed as before, with the same errors.
+
 :class:`Record` is the base of the package's frozen value types.  It stands
 in for ``dataclasses``, so neither start-up nor ``gen`` imports
 ``dataclasses`` and the ``inspect`` chain behind it, or compiles generated
@@ -85,9 +92,38 @@ def _check_digits(text: str, field: str) -> None:
         raise InputError(f"{field}: number has {digits} digits written out, more than the limit of {limit}")
 
 
+def _as_int(text: str) -> int | None:
+    """``int(text, 10)`` when ``text`` is at most the int-string limit long and
+    ``int`` accepts it, else None.  Such a string cannot pass the limit: it has
+    no more digits than characters, and ``int`` accepts no exponent.  What
+    ``int`` accepts (whitespace, sign, ``_`` separators, Unicode digits),
+    ``Fraction`` accepts with the same value."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        return None
+    try:
+        return int(text, 10)
+    except ValueError:
+        return None
+
+
+def exact(x: int | Fraction) -> int | Fraction:
+    """The canonical exact value of ``x``: a plain ``int`` when integral, else a ``Fraction``."""
+    if type(x) is int:
+        return x
+    if x.denominator == 1:
+        return x.numerator
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def parse_int(value: int | str, field: str) -> int:
+    """A JSON integer, or a decimal integer string.  A string no longer than
+    the int-string limit that ``int(text, 10)`` accepts skips the digit scan:
+    it cannot pass the limit (:func:`_as_int`)."""
     if not isinstance(value, str):
         return require_int(value, field)
+    if (x := _as_int(value)) is not None:
+        return x
     _check_digits(value, field)
     try:
         return int(value.strip(), 10)
@@ -95,14 +131,19 @@ def parse_int(value: int | str, field: str) -> int:
         raise InputError(f"{field}: not a decimal integer: {value!r}") from exc
 
 
-def parse_rational(value: int | str, field: str) -> Fraction:
+def parse_rational(value: int | str, field: str) -> int | Fraction:
+    """A JSON integer, or a ``p``, ``p/q`` or decimal string, as its exact
+    value: an ``int`` when integral, else a ``Fraction``.  A string that
+    ``int(text, 10)`` accepts skips the digit scan, as in :func:`parse_int`."""
     if is_int(value):
-        return Fraction(value)
+        return value
     if not isinstance(value, str):
         raise InputError(f"{field}: expected a rational or 'p/q' string, got {value!r}")
+    if (x := _as_int(value)) is not None:
+        return x
     _check_digits(value, field)
     try:
-        return Fraction(value.strip())
+        return exact(Fraction(value.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{field}: not a rational: {value!r}") from exc
 
@@ -185,7 +226,7 @@ def read_matrix(value, n: int | None = None) -> tuple[tuple[int | Fraction, ...]
     rows = tuple(require_seq(row, f"F[{i}]", "entries") for i, row in enumerate(require_seq(value, "F", "rows")))
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            if not is_int(x) and not isinstance(x, Fraction):
+            if type(x) is not int and not is_int(x) and not isinstance(x, Fraction):  # plain int first: most entries
                 raise InputError(f"F[{i}][{j}]: expected an integer or a Fraction, got {describe(x)}")
     n = len(rows) if n is None else n
     if len(rows) != n or any(len(row) != n for row in rows):

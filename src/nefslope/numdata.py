@@ -24,7 +24,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import AsymmetricInput, InputError, NonIntegralProfile
-from .exactio import Record, describe_int, format_int, format_rational, parse_int, parse_rational
+from .exactio import Record, describe_int, exact, format_int, format_rational, parse_int, parse_rational
 from .exactio import read_matrix, require_int, require_seq
 from .polyroot import NEG_INF, POS_INF, chi_polynomial, sturm_chain, sturm_count
 
@@ -77,14 +77,17 @@ class SymMatrixModel(Record):
     ``top_l`` is the value of ``L^n`` (``n!`` for the product principal
     polarization, scalable for scaled polarizations).  Construction raises,
     naming the field, unless ``n`` and ``L^n`` are positive integers and ``F``
-    is a symmetric n x n matrix of ``int`` or ``Fraction`` entries.
+    is a symmetric n x n matrix of ``int`` or ``Fraction`` entries.  Each
+    entry is stored once as its exact value: an integral one as an ``int``,
+    any other as a ``Fraction``, so equality and hash do not depend on which
+    of the two an integral entry was given as.
     """
 
     _fields = ("n", "entries", "top_l")
 
-    def __init__(self, n: int, entries: tuple[tuple[Fraction, ...], ...], top_l: int):
+    def __init__(self, n: int, entries: tuple[tuple[int | Fraction, ...], ...], top_l: int):
         n = require_int(n, "n", 1)
-        f = tuple(tuple(map(Fraction, row)) for row in read_matrix(entries, n))
+        f = tuple(tuple(map(exact, row)) for row in read_matrix(entries, n))
         for i in range(n):
             for j in range(i):
                 if f[i][j] != f[j][i]:

@@ -269,9 +269,34 @@ class TestGenCommand:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--kind", "torus", "--seed", "1"])
         assert exc.value.code == 2
-        assert "invalid choice: 'torus' (choose from 'surface', 'product-matrix', 'rational-matrix')" in (
-            capsys.readouterr().err
-        )
+        assert unknown_kind_error(capsys.readouterr().err)
+
+
+def unknown_kind_error(err: str) -> bool:
+    """``err`` has argparse's invalid-choice line for ``--kind torus``, listing
+    every kind in order, quoted (CPython up to 3.13.0) or not (3.13.13)."""
+    line = next((line for line in err.splitlines() if "invalid choice" in line), "")
+    kinds = nefslope.cli.GEN_KINDS
+    listed = (", ".join(kinds), ", ".join(f"'{k}'" for k in kinds))
+    return "--kind" in line and "torus" in line and any(f"(choose from {choices})" in line for choices in listed)
+
+
+@pytest.mark.parametrize(
+    "err, ok",
+    [
+        ("nefslope gen: error: argument --kind: invalid choice: 'torus' "
+         "(choose from 'surface', 'product-matrix', 'rational-matrix')", True),
+        ("nefslope gen: error: argument --kind: invalid choice: 'torus' "
+         "(choose from surface, product-matrix, rational-matrix)", True),
+        ("nefslope gen: error: argument --kind: invalid choice: 'torus' (choose from surface, product-matrix)", False),
+        ("nefslope gen: error: argument --kind: invalid choice: 'cube' "
+         "(choose from surface, product-matrix, rational-matrix)", False),
+        ("usage: nefslope gen --kind {surface,product-matrix,rational-matrix}", False),
+    ],
+    ids=["quoted", "unquoted", "kind-missing", "other-value", "usage-only"],
+)
+def test_unknown_kind_error_reads_both_argparse_wordings(err, ok):
+    assert unknown_kind_error(err) is ok
 
 
 class TestErrorHandling:

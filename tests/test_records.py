@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 
 from nefslope.exactio import Record
-from nefslope.generators import GenSpec
+from nefslope.generators import GenSpec, gen_random
 from nefslope.numdata import (
     IntersectionProfile,
     SymMatrixModel,
     ValidationReport,
     Violation,
+    charpoly,
+    profile_from_matrix,
 )
 from nefslope.polyroot import AlgebraicNumber, IntPolynomial, SturmChain, chi_polynomial
 from nefslope.simplicity import (
@@ -23,6 +25,7 @@ from nefslope.simplicity import (
     ScanEntry,
     SimplicityScan,
     is_nef,
+    kernel_rank,
     norm_slope_check,
     scan,
 )
@@ -152,3 +155,39 @@ def test_dataclass_replace_works_on_the_simplicity_records():
     tampered = dataclasses.replace(result, entries=(entry,) + result.entries[1:])
     assert isinstance(tampered, SimplicityScan) and tampered.entries[1] == result.entries[1]
     assert tampered != result
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SymMatrixModel(1, ((3,),), 1),
+        lambda: SymMatrixModel(1, ((Fraction(3),),), 1),
+        lambda: SymMatrixModel.from_json({"n": 1, "Ln": "1", "F": [["3"]]}),
+        lambda: SymMatrixModel.from_json({"n": 1, "Ln": "1", "F": [["6/2"]]}),
+        lambda: SymMatrixModel.from_json({"n": 1, "Ln": "1", "F": [[3]]}),
+    ],
+    ids=["int", "Fraction", "string", "ratio-string", "json-int"],
+)
+def test_integral_matrix_entries_are_stored_as_int(build):
+    (entry,), = build().entries
+    assert entry == 3 and type(entry) is int
+
+
+def test_rational_matrix_entries_stay_fractions():
+    model = SymMatrixModel.from_json({"n": 2, "Ln": "2", "F": [["1/3", "2"], ["2", "1"]]})
+    assert model.entries == ((Fraction(1, 3), 2), (2, 1))
+    assert [type(x) for row in model.entries for x in row] == [Fraction, int, int, int]
+
+
+@pytest.mark.parametrize("kind, n", [("product-matrix", 4), ("rational-matrix", 3), ("rational-matrix", 5)])
+def test_matrix_models_round_trip_and_ignore_the_entry_type(kind, n):
+    for model in gen_random(GenSpec(kind, 2, 5, n, 10)):
+        assert SymMatrixModel.from_json(model.to_json()) == model
+        fraction_rows = tuple(tuple(map(Fraction, row)) for row in model.entries)
+        as_fractions = SymMatrixModel(n, fraction_rows, model.top_l)
+        assert as_fractions == model and hash(as_fractions) == hash(model)
+        assert profile_from_matrix(as_fractions) == profile_from_matrix(model)
+        assert charpoly(fraction_rows) == charpoly(model.entries)
+        threshold = slope(profile_from_matrix(model)).slope_fraction  # a kernel, when rational
+        for value in {Fraction(1, 3), threshold} - {None}:
+            assert kernel_rank(as_fractions, value) == kernel_rank(model, value)
