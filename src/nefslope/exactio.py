@@ -221,7 +221,7 @@ def require_seq(value, field: str, items: str) -> tuple:
 
 
 def read_matrix(value, n: int | None = None) -> tuple[tuple[int | Fraction, ...], ...]:
-    """``F`` as rows of ``int`` and ``Fraction`` entries, all read before the shape is checked:
+    """``F`` as rows of :func:`exact` entries, all read before the shape is checked:
     ``n x n``, or square if ``n`` is None, else :class:`AsymmetricInput`."""
     rows = tuple(require_seq(row, f"F[{i}]", "entries") for i, row in enumerate(require_seq(value, "F", "rows")))
     for i, row in enumerate(rows):
@@ -231,4 +231,4 @@ def read_matrix(value, n: int | None = None) -> tuple[tuple[int | Fraction, ...]
     n = len(rows) if n is None else n
     if len(rows) != n or any(len(row) != n for row in rows):
         raise AsymmetricInput(f"F: expected a {describe_int(n)}x{describe_int(n)} matrix")
-    return rows
+    return tuple(tuple(map(exact, row)) for row in rows)

@@ -98,41 +98,34 @@ def _draw_product_matrix(rng: SplitMix64, n: int, bound: int) -> SymMatrixModel:
     return gen_product(n, rows)
 
 
-def _rotate(rows: list[list[Fraction]], i: int, j: int, triple: tuple[int, int, int]) -> list[list[Fraction]]:
-    """Conjugate by the rational rotation acting on coordinates i and j."""
-    a, b, h = triple
-    c, s = Fraction(a, h), Fraction(b, h)
-    n = len(rows)
-    out = [row[:] for row in rows]
-    for t in range(n):
-        out[t][i], out[t][j] = c * rows[t][i] - s * rows[t][j], s * rows[t][i] + c * rows[t][j]
-    rows2 = [row[:] for row in out]
-    for t in range(n):
-        out[i][t], out[j][t] = c * rows2[i][t] - s * rows2[j][t], s * rows2[i][t] + c * rows2[j][t]
-    return out
-
-
 def _draw_rational_matrix(rng: SplitMix64, n: int, bound: int) -> SymMatrixModel:
     """Symmetric matrix with a known integer spectrum.
 
     The spectrum has a positive maximum and is never constant, so the
     threshold of the modelled pair is finite, rational and the pair is not
-    proportional to the polarization.
+    proportional to the polarization.  Up to two rotations, with cosine a/h
+    and sine b/h on coordinates i and j, conjugate it in integers, by ``Q``, h
+    times each, and the product of the h^2 divides it once at the end.
     """
     while True:
         spectrum = [rng.in_range(-bound, bound) for _ in range(n)]
         if max(spectrum) > 0 and len(set(spectrum)) > 1:
             break
-    rows: list[list[Fraction]] = [
-        [Fraction(spectrum[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)
-    ]
+    rows = [[spectrum[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    scale = 1
     for _ in range(rng.below(3)):
         i = rng.below(n)
         j = rng.below(n - 1)
         if j >= i:
             j += 1
-        rows = _rotate(rows, i, j, _PYTHAGOREAN[rng.below(len(_PYTHAGOREAN))])
-    return SymMatrixModel(n, tuple(tuple(row) for row in rows), factorial(n))
+        a, b, h = _PYTHAGOREAN[rng.below(len(_PYTHAGOREAN))]
+        for _ in range(2):  # Q G, then Q (Q G)^T = Q G Q^T, as G is symmetric
+            out = [[h * x for x in row] for row in rows]
+            out[i] = [a * x - b * y for x, y in zip(rows[i], rows[j])]
+            out[j] = [b * x + a * y for x, y in zip(rows[i], rows[j])]
+            rows = [list(col) for col in zip(*out)]
+        scale *= h * h
+    return SymMatrixModel(n, tuple(tuple(Fraction(x, scale) for x in row) for row in rows), factorial(n))
 
 
 def gen_random(spec: GenSpec) -> list[IntersectionProfile | SymMatrixModel]:

@@ -14,19 +14,20 @@ consumer checks them again: an :class:`IntersectionProfile` is ``n + 1``
 integers with ``L^n > 0``, and a :class:`SymMatrixModel` is a symmetric
 ``n x n`` matrix with a positive integer ``L^n``.  Beyond that, any integer
 vector is a first-class input; realizability checks stay opt-in through
-:func:`validate` at increasing :class:`ValidationLevel` strictness.
+:func:`validate` at increasing :class:`ValidationLevel` strictness, the
+spectral one read off the signs and degrees of one integer PRS.
 """
 
 import enum
 from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import mul
+from operator import eq, mul
 
 from .errors import AsymmetricInput, InputError, NonIntegralProfile
-from .exactio import Record, describe_int, exact, format_int, format_rational, parse_int, parse_rational
+from .exactio import Record, describe_int, format_int, format_rational, parse_int, parse_rational
 from .exactio import read_matrix, require_int, require_seq
-from .polyroot import NEG_INF, POS_INF, chi_polynomial, sturm_chain, sturm_count
+from .polyroot import chi_polynomial, real_root_defect
 
 
 def _array(value, field: str) -> list:
@@ -87,7 +88,7 @@ class SymMatrixModel(Record):
 
     def __init__(self, n: int, entries: tuple[tuple[int | Fraction, ...], ...], top_l: int):
         n = require_int(n, "n", 1)
-        f = tuple(tuple(map(exact, row)) for row in read_matrix(entries, n))
+        f = read_matrix(entries, n)
         for i in range(n):
             for j in range(i):
                 if f[i][j] != f[j][i]:
@@ -112,10 +113,14 @@ class SymMatrixModel(Record):
             raise InputError("matrix JSON must be an object with 'n', 'Ln' and 'F'")
         n = parse_int(data["n"], "n")
         top_l = parse_int(data["Ln"], "Ln")
-        rows = tuple(
-            tuple(parse_rational(x, f"F[{i}][{j}]") for j, x in enumerate(_array(row, f"F[{i}]")))
-            for i, row in enumerate(_array(data["F"], "F"))
-        )
+        f = _array(data["F"], "F")
+        try:  # entry fields are named only after a failure, by a second pass that raises the same error
+            rows = tuple(tuple([parse_rational(x, "F") for x in _array(row, f"F[{i}]")]) for i, row in enumerate(f))
+        except InputError:
+            rows = tuple(
+                tuple(parse_rational(x, f"F[{i}][{j}]") for j, x in enumerate(_array(row, f"F[{i}]")))
+                for i, row in enumerate(f)
+            )
         return cls(n, rows, top_l)
 
 
@@ -145,19 +150,18 @@ def validate(p: IntersectionProfile, level: ValidationLevel) -> ValidationReport
     SYNTACTIC adds nothing to the type invariants, which construction has
     already checked.  SPECTRAL requires the profile polynomial to be
     real-rooted, as holds for every profile arising from a symmetric matrix
-    model; multiplicity does not matter, so the test is that the Sturm count
-    of the square-free part equals its degree.  SURFACE_HODGE additionally
-    requires, on surfaces, the index inequality ``(L.M)^2 >= L^2 M^2``.
+    model; multiplicity does not matter, so the test is that its distinct
+    real roots, counted at +-infinity on one PRS by :func:`real_root_defect`,
+    are as many as the degree of its square-free part, which is built only to
+    word a violation.  SURFACE_HODGE additionally requires, on surfaces, the
+    index inequality ``(L.M)^2 >= L^2 M^2``.
     """
     violations = []
-    if level >= ValidationLevel.SPECTRAL:
-        chain = sturm_chain(chi_polynomial(p))
-        h = chain.polys[0]
-        real = sturm_count(chain, NEG_INF, POS_INF)
-        if real != h.degree:
-            violations.append(
-                Violation("real-rooted", f"square-free part {h} has {real} distinct real roots but degree {h.degree}")
-            )
+    if level >= ValidationLevel.SPECTRAL and (defect := real_root_defect(chi_polynomial(p))):
+        real, h = defect
+        violations.append(
+            Violation("real-rooted", f"square-free part {h} has {real} distinct real roots but degree {h.degree}")
+        )
     if level >= ValidationLevel.SURFACE_HODGE and (hodge := hodge_violation(p)):
         violations.append(hodge)
     return ValidationReport(tuple(violations))
@@ -180,15 +184,16 @@ def hodge_violation(p: IntersectionProfile) -> Violation | None:
 def _berkowitz(entries: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[int]]:
     """``D``, the lcm of the entries' denominators, and the coefficients of
     ``det(u I - D F)``, ascending, by the division-free Berkowitz recurrence
-    on the integer matrix ``D F``.  ``F`` may be any square matrix, as
-    :func:`charpoly` allows, so this one general kernel serves every caller.
+    on the integer matrix ``D F``, which is ``F`` itself when ``D = 1``: as
+    :func:`read_matrix` gives them, integral entries are ``int``.  ``F`` may
+    be any square matrix, as :func:`charpoly` allows, so this one general
+    kernel serves every caller.
     Bordering the r x r block costs ceil((r - 1) / 2) matrix-vector products
     while the bordered block is symmetric, as a model's is, and r - 1 otherwise;
     ``map`` stops at its shorter argument, so every caller passes a square ``F``."""
     n = len(entries)
-    ratios = [[x.as_integer_ratio() for x in row] for row in entries]  # one read of each entry
-    d = lcm(*(q for row in ratios for _, q in row))
-    a = [[p * (d // q) for p, q in row] for row in ratios]
+    d = lcm(*(x.denominator for row in entries for x in row))
+    a = entries if d == 1 else [[x.numerator * (d // x.denominator) for x in row] for row in entries]
     # c: det(u I - A_r) of the leading r x r block, descending.  Bordering it
     # by row r multiplies c by the Toeplitz matrix with first column
     # (1, -a_rr, -R C, -R A_r C, ..., -R A_r^(r-1) C).  v is A_r^m C, or A_r^(m - m//2) C
@@ -197,7 +202,7 @@ def _berkowitz(entries: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[i
     for r in range(n):
         block = a[:r]
         v = [row[r] for row in block]
-        krylov, sym = [v], sym and a[r][:r] == v
+        krylov, sym = [v], sym and all(map(eq, a[r], v))
         t = [1, -a[r][r]]
         for m in range(r):
             if m and (not sym or m % 2):

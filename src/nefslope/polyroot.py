@@ -1,20 +1,24 @@
 """Exact integer-polynomial algebra and real-root certification.
 
 Polynomials carry arbitrary-precision integer coefficients in ascending
-degree order, and all exact algebra stays in the integers: remainders are
-pseudo-remainders scaled by positive factors, gcds and Sturm chains are
-primitive pseudo-remainder sequences, and every sign is that of homogeneous
-integer Horner at a point ``(a : b)``, ``b >= 0``, with +-infinity as
-``(+-1 : 0)``.  On top of this kernel the module provides:
+degree order, and all exact algebra stays in the integers.  One kernel on
+plain coefficient lists runs the signed primitive pseudo-remainder sequence
+(PRS) of ``f`` and ``f'``, scaling and dividing by positive factors only;
+every other sign is that of homogeneous integer Horner at a point
+``(a : b)``, ``b >= 0``, with +-infinity as ``(+-1 : 0)``.  On top of it the
+module provides:
 
 * ``chi_polynomial`` -- the degree-n integer polynomial attached to an
   intersection profile, whose maximal real root is the reciprocal of the
   nef threshold;
-* Sturm chains of the square-free part ``h = p / gcd(p, p')``, from one
-  signed PRS of ``p`` and ``p'``.  Isolation counts roots of ``h`` on the
-  chain (``sturm_count`` on ``(lo, hi]``, ``lo``/``hi`` rationals or
-  +-infinity); refinement, ``compare_with_rational`` and the ``k/D`` check
-  read only signs of ``h`` by Horner;
+* ``real_root_defect`` -- whether ``p`` is real-rooted, from its one PRS:
+  its distinct real roots are counted at +-infinity off the signs and
+  degrees of the leads, with no evaluation, against ``deg p - deg gcd``;
+* Sturm chains of the square-free part ``h = p / gcd(p, p')``: the PRS of
+  ``p`` if it ends in a constant, else that of ``h``.  Isolation counts roots
+  of ``h`` on the chain (``sturm_count`` on ``(lo, hi]``, ``lo``/``hi``
+  rationals or +-infinity); refinement, ``compare_with_rational`` and the
+  ``k/D`` check read only signs of ``h`` by Horner;
 * ``isolate_max_root`` / ``refine`` -- certified isolation of the largest
   real root as an :class:`AlgebraicNumber`: isolation bisects from the
   power-of-two Fujiwara bound, and a narrowing by more than 64 bits runs
@@ -35,9 +39,9 @@ integer Horner at a point ``(a : b)``, ``b >= 0``, with +-infinity as
 ``isolate_max_root`` enumerates no divisors: it isolates the top root of
 the square-free part ``h`` and decides rationality by one exact check at
 the one point ``k / lead(h)``, ``k`` an integer, that its narrowed interval
-can hold.  An
-:class:`AlgebraicNumber` is therefore rational exactly when its ``exact``
-field is set; no numeric equality test against rationals is ever needed.
+can hold.  An :class:`AlgebraicNumber` is therefore rational exactly when its
+``exact`` field is set; no numeric equality test against rationals is ever
+needed.
 """
 
 import operator
@@ -149,85 +153,81 @@ def _scaled_value(p: IntPolynomial, a: int, b: int) -> int:
     return acc
 
 
-def _primitive(coeffs: Iterable[int], positive_lead: bool = False) -> IntPolynomial:
-    """Strip trailing zeros and divide out the content, a positive factor that leaves every sign intact.
-
-    ``positive_lead`` additionally flips the global sign to make the leading
-    coefficient positive.
-    """
-    c = list(coeffs)
+def _primitive(c: list[int], sign: int = 1) -> list[int]:
+    """Strip trailing zeros off ``c`` in place and divide by ``sign`` times its
+    positive content: ``sign`` 1 keeps every sign, -1 flips them all, and 0
+    takes the sign of the lead of a nonzero ``c``, to make the lead positive."""
     while c and c[-1] == 0:
         c.pop()
-    content = gcd(*c)
-    if positive_lead and c and c[-1] < 0:
-        content = -content
-    return IntPolynomial(tuple(x // content for x in c))
+    content = gcd(*c) * (sign or _sgn(c[-1]))
+    return [x // content for x in c]
 
 
-def _prem(a: IntPolynomial, b: IntPolynomial) -> list[int]:
-    """Pseudo-remainder ``|lead(b)|^(deg a - deg b + 1) a mod b``; b must be nonzero.
+def _prs(f: list[int]) -> list[list[int]]:
+    """The signed primitive PRS of ``f`` and ``f'``: ``f``, the primitive part
+    of ``f'``, then that of each ``-prem(f_(i-1), f_i)`` until one vanishes;
+    the last member is ``gcd(f, f')`` up to sign.  A pseudo-remainder is the
+    remainder times ``|lead(f_i)|^(deg f_(i-1) - deg f_i + 1)`` and contents
+    are positive, so each member has the signed remainder sequence's signs."""
+    seq, g = [f], _primitive([k * c for k, c in enumerate(f)][1:])
+    while g:
+        seq.append(g)
+        r, scale, sign = seq[-2], abs(g[-1]), _sgn(g[-1])
+        for k in range(len(r) - len(g), -1, -1):
+            q = sign * r[-1]
+            r = [scale * x for x in r[:k]] + [scale * x - q * y for x, y in zip(r[k:-1], g)]
+        g = _primitive(r, -1)
+    return seq
 
-    The scale factor is positive, so the result is a positive multiple of the
-    remainder over the rationals and carries the same sign at every point.
-    """
-    r = list(a.coeffs)
-    db, lb = b.degree, b.coeffs[-1]
-    scale, sign = abs(lb), _sgn(lb)
-    for k in range(len(r) - 1 - db, -1, -1):
-        q = sign * r[-1]
-        r = [scale * c for c in r]
-        for i, c in enumerate(b.coeffs):
-            r[i + k] -= q * c
-        r.pop()
-    return r
 
-
-def _exquo(a: IntPolynomial, b: IntPolynomial) -> list[int]:
+def _exquo(a: list[int], b: list[int]) -> list[int]:
     """Quotient ``a / b`` for primitive b dividing a; integral by Gauss's lemma."""
-    r = list(a.coeffs)
-    db, lb = b.degree, b.coeffs[-1]
-    out = [0] * (len(r) - db)
-    for k in range(len(out) - 1, -1, -1):
-        q = out[k] = r[-1] // lb
-        for i, c in enumerate(b.coeffs):
-            r[i + k] -= q * c
-        r.pop()
-    if any(r):
+    out = []
+    for k in range(len(a) - len(b), -1, -1):
+        out.append(q := a[-1] // b[-1])
+        a = a[:k] + [x - q * y for x, y in zip(a[k:-1], b)]
+    if any(a):
         raise ArithmeticError("polynomial division is not exact")
-    return out
+    return out[::-1]
 
 
 # ---------------------------------------------------------------------------
 # Sturm chains and root counting.
 
 class SturmChain(Record):
-    """Signed remainder sequence of the square-free part of a polynomial.
-
-    Every element is primitive; content is divided out by positive factors
-    only, which leaves all sign variations intact.
-    """
+    """Signed remainder sequence of the square-free part of a polynomial; every
+    element is primitive, its content divided out by a positive factor."""
 
     _fields = ("polys",)
 
 
 def sturm_chain(p: IntPolynomial) -> SturmChain:
-    """Sturm chain of the square-free part of ``p``.
-
-    The signed primitive PRS of ``f0`` and ``f0'`` ends in ``gcd(p, p')`` up
-    to sign: a constant end makes it the chain, otherwise it runs once more
-    on the square-free ``f0 / gcd``.
-    """
+    """Sturm chain of the square-free part of ``p``: the signed primitive PRS
+    of ``f0`` and ``f0'``, if its last member, ``gcd(p, p')`` up to sign, is
+    constant, else that of the square-free ``f0 / gcd``."""
     if p.is_zero:
         raise ValueError("cannot build a Sturm chain for the zero polynomial")
-    f0 = _primitive(p.coeffs, positive_lead=True)
-    while True:
-        seq, f1 = [f0], _primitive(f0.derivative().coeffs)
-        while not f1.is_zero:
-            seq.append(f1)
-            f1 = _primitive(-c for c in _prem(seq[-2], seq[-1]))
-        if seq[-1].degree == 0:
-            return SturmChain(tuple(seq))
-        f0 = _primitive(_exquo(f0, seq[-1]), positive_lead=True)
+    seq = _prs(_primitive(list(p.coeffs), 0))
+    if len(seq[-1]) > 1:
+        seq = _prs(_primitive(_exquo(seq[0], seq[-1]), 0))
+    return SturmChain(tuple(IntPolynomial(tuple(g)) for g in seq))
+
+
+def real_root_defect(p: IntPolynomial) -> tuple[int, IntPolynomial] | None:
+    """None if every root of a nonzero ``p`` is real; else the number of its
+    distinct real roots and its square-free part ``h``, of larger degree.
+    By Sturm's theorem on one signed PRS ``f_0, ..., f_m`` of ``f0`` and
+    ``f0'``, the count is ``V(-inf) - V(+inf)``, the sign changes along the
+    ``(-1)^deg(f_i) lead(f_i)`` less those along the ``lead(f_i)``, and
+    ``deg h = deg f0 - deg f_m``; ``h = f0 / f_m``, primitive with a positive
+    lead, is built only for a defect."""
+    seq = _prs(_primitive(list(p.coeffs), 0))
+    pos = [g[-1] > 0 for g in seq]
+    neg = [s == len(g) % 2 for s, g in zip(pos, seq)]
+    real = sum(map(operator.ne, neg, neg[1:])) - sum(map(operator.ne, pos, pos[1:]))
+    if real == len(seq[0]) - len(seq[-1]):
+        return None
+    return real, IntPolynomial(tuple(_primitive(_exquo(seq[0], seq[-1]), 0)))
 
 
 def _point(x: Endpoint | int) -> tuple[int, int]:
@@ -626,8 +626,8 @@ def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:
             raise ZeroDivisionError("reciprocal of zero")
         return AlgebraicNumber.from_rational(1 / a.exact)
     lo, hi = a.interval
-    rev = _primitive(reversed(a.minpoly_factor.coeffs), positive_lead=True)
-    return AlgebraicNumber(rev, (1 / hi, 1 / lo))
+    rev = _primitive(list(reversed(a.minpoly_factor.coeffs)), 0)
+    return AlgebraicNumber(IntPolynomial(tuple(rev)), (1 / hi, 1 / lo))
 
 
 # ---------------------------------------------------------------------------

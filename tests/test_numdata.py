@@ -1,17 +1,18 @@
 """Tests for profiles, the matrix model and validation levels."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial, gcd, lcm
 
 import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nefslope import numdata
+from nefslope import numdata, polyroot
 from nefslope.errors import InputError, NonIntegralProfile
-from nefslope.generators import SplitMix64, gen_product
+from nefslope.generators import GenSpec, SplitMix64, gen_product, gen_random
 from nefslope.numdata import (
     IntersectionProfile,
     SymMatrixModel,
@@ -401,3 +402,111 @@ class TestBinaryProfile:
         assert IntersectionProfile.from_json(p.to_json()) == p
         assert p.to_json() == {"n": 2, "v": ["2", "3", "2"]}
         assert IntersectionProfile.from_json({"n": 2, "v": [2, "3", 2]}) == p
+
+
+# ---------------------------------------------------------------------------
+# SPECTRAL against sympy.
+
+U = sympy.Symbol("u")
+
+
+def profile_of(q: list[int]) -> IntersectionProfile:
+    """The profile whose chi is a positive multiple of ``q`` (ascending, positive lead):
+    ``v[k] = (-1)^(n-k) q_k m / C(n, k)`` for ``m`` the lcm of the binomials."""
+    n = len(q) - 1
+    m = lcm(*(comb(n, k) for k in range(n + 1)))
+    return IntersectionProfile(n, tuple((-1) ** (n - k) * q[k] * m // comb(n, k) for k in range(n + 1)))
+
+
+def times(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def sympy_square_free(q) -> tuple[int, IntPolynomial]:
+    """Distinct real roots of ``q`` by ``Poly(q).sqf_part().count_roots()``, and
+    that square-free part made primitive with a positive lead."""
+    h = sympy.Poly(list(reversed(q)), U).sqf_part()
+    coeffs = [int(c) for c in reversed(h.all_coeffs())]
+    content = gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+    return h.count_roots(), IntPolynomial(tuple(c // content for c in coeffs))
+
+
+def spectral_cases() -> list[tuple[str, IntersectionProfile]]:
+    """Seeded profiles: matrix models at n = 1..12, random profiles, products
+    with repeated real and complex factors, and a 4300-digit ``L.M^2``."""
+    cases = []
+    for n in range(1, 13):
+        for kind in ("product-matrix", "rational-matrix")[: 1 + (n > 1)]:
+            for m in gen_random(GenSpec(kind, seed=n, count=3, n=n, bound=9)):
+                cases.append((f"{kind}-{n}", profile_from_matrix(m)))
+    rng = SplitMix64(4242)
+    for _ in range(300):
+        n = rng.in_range(1, 8)
+        v = [rng.in_range(-9, 9) for _ in range(n)] + [rng.in_range(1, 9)]
+        cases.append((f"random-{n}", IntersectionProfile(n, tuple(v))))
+    factors = ([-1, 1], [1, 0, 1], [2, -3, 1], [0, 1], [5, 2, 1], [-2, 0, 1], [3, 2], [1, 1, 1])
+    for _ in range(120):
+        q = [1]
+        for _ in range(rng.in_range(1, 3)):
+            factor = factors[rng.below(len(factors))]
+            for _ in range(rng.in_range(1, 3)):
+                q = times(q, factor)
+        cases.append(("product", profile_of(q)))
+    cases.append(("complex-pair-squared", profile_of(times(times([1, 0, 1], [1, 0, 1]), [-1, 1]))))
+    cases.append(("4300-digit", IntersectionProfile(3, (1, int("9" * 4300), 1, 1))))
+    return cases
+
+
+#: sha256 over the violation messages of the failing :func:`spectral_cases`, as
+#: the Sturm-chain evaluation at (+-1 : 0) worded them.
+SPECTRAL_MESSAGES_SHA256 = "df5d011090a9950e0027c625dd8711c5376e8d8c7eff837fe0a9597b1f55e6e9"
+
+
+class TestSpectralAgainstSympy:
+    def test_verdict_count_and_message(self):
+        messages, kinds = [], set()
+        for name, profile in spectral_cases():
+            chi = chi_polynomial(profile)
+            real, h = sympy_square_free(chi.coeffs)
+            report = validate(profile, ValidationLevel.SPECTRAL)
+            assert report.ok == (real == h.degree), name
+            if "matrix" in name:
+                assert report.ok, name
+            if not report.ok:
+                kinds.add(name.split("-")[0])
+                (violation,) = report.violations
+                assert violation.check == "real-rooted"
+                assert violation.message == f"square-free part {h} has {real} distinct real roots but degree {h.degree}"
+                messages.append(violation.message)
+        assert {"random", "product", "complex", "4300"} <= kinds
+        assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == SPECTRAL_MESSAGES_SHA256
+
+    @pytest.mark.parametrize(
+        "name,message",
+        [
+            ("complex-pair-squared", "square-free part u^3 - u^2 + u - 1 has 1 distinct real roots but degree 3"),
+            ("4300-digit", "square-free part u^3 - 3*u^2 + <14286-bit integer>*u - 1 has 1 distinct real roots but degree 3"),
+        ],
+        ids=["complex-pair-squared", "4300-digit"],
+    )
+    def test_pinned_messages(self, name, message):
+        (violation,) = validate(dict(spectral_cases())[name], ValidationLevel.SPECTRAL).violations
+        assert violation.message == message
+
+    def test_defect_on_polynomials(self):
+        # Negative leads, zero roots and constants, straight to the PRS count.
+        rng = SplitMix64(777)
+        for _ in range(400):
+            q = [rng.in_range(-5, 5) or 1]
+            for _ in range(rng.below(4)):
+                factor = [rng.in_range(-6, 6) for _ in range(rng.in_range(1, 2))] + [rng.in_range(1, 3)]
+                for _ in range(rng.in_range(1, 3)):
+                    q = times(q, factor)
+            p = IntPolynomial.of(q)
+            real, h = sympy_square_free(p.coeffs) if p.degree > 0 else (0, IntPolynomial((1,)))
+            defect = polyroot.real_root_defect(p)
+            assert defect == (None if real == h.degree else (real, h)), q

@@ -3,7 +3,7 @@
 import random
 import sys
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from nefslope.slope import slope
 from oracle import in_interval_surd
 
 P = IntPolynomial.of
+X = sympy.Symbol("u")
 
 
 def from_roots(roots, lead=1):
@@ -160,22 +161,41 @@ class TestSturm:
             assert sturm_count(sturm_chain(p), NEG_INF, POS_INF) == len(roots)
 
 
+def _ref_primitive(coeffs, positive_lead: bool = False) -> IntPolynomial:
+    """The content-free part of ``coeffs``, with a positive lead if asked."""
+    c = P(coeffs).coeffs
+    content = (-1 if positive_lead and c and c[-1] < 0 else 1) * (gcd(*c) or 1)
+    return P([x // content for x in c])
+
+
+def _ref_prem(a: IntPolynomial, b: IntPolynomial) -> list[int]:
+    """``|lead(b)|^(deg a - deg b + 1) a mod b``, one subtraction per quotient term."""
+    r, scale, sign = list(a.coeffs), abs(b.coeffs[-1]), 1 if b.coeffs[-1] > 0 else -1
+    for k in range(a.degree - b.degree, -1, -1):
+        q = sign * r[-1]
+        r = [scale * c for c in r]
+        for i, c in enumerate(b.coeffs):
+            r[i + k] -= q * c
+        r.pop()
+    return r
+
+
 def _reference_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
     """The two-PRS construction: the square-free part from an unsigned
     primitive PRS of p and p', then a signed PRS of that part for the chain."""
     if p.degree == 0:
         h = P([1])
     else:
-        a, b = polyroot._primitive(p.coeffs), polyroot._primitive(p.derivative().coeffs)
+        a, b = _ref_primitive(p.coeffs), _ref_primitive(p.derivative().coeffs)
         while not b.is_zero:
-            a, b = b, polyroot._primitive(polyroot._prem(a, b))
-        h = p if a.degree == 0 else P(polyroot._exquo(p, a))
-        h = polyroot._primitive(h.coeffs, positive_lead=True)
+            a, b = b, _ref_primitive(_ref_prem(a, b))
+        h = p if a.degree == 0 else P(sympy.Poly(p.coeffs[::-1], X).exquo(sympy.Poly(a.coeffs[::-1], X)).all_coeffs()[::-1])
+        h = _ref_primitive(h.coeffs, positive_lead=True)
     seq = [h]
-    f1 = polyroot._primitive(h.derivative().coeffs)
+    f1 = _ref_primitive(h.derivative().coeffs)
     while not f1.is_zero:
         seq.append(f1)
-        f1 = polyroot._primitive(-c for c in polyroot._prem(seq[-2], seq[-1]))
+        f1 = _ref_primitive(-c for c in _ref_prem(seq[-2], seq[-1]))
     return tuple(seq)
 
 
@@ -203,18 +223,23 @@ class TestOnePrs:
         assert {(True, True, False), (False, True, True), (False, False, False)} <= seen
 
     @pytest.mark.parametrize(
-        "p,limit",
-        [(P([-2, 0, 1]), 2), (from_roots([1, 2, 3]), 3), (P([1, 0, -2, 0, 1]), 4)],
+        "p,runs",
+        [(P([-2, 0, 1]), 1), (from_roots([1, 2, 3]), 1), (P([1, 0, -2, 0, 1]), 2)],
         ids=["sqrt2", "three-roots", "square"],
     )
-    def test_one_prs_per_square_free_chain(self, monkeypatch, p, limit):
+    def test_one_prs_per_square_free_chain(self, monkeypatch, p, runs):
         # A square-free input takes one PRS; (u^2 - 1)^2 takes a second one
-        # on its square-free part u^2 - 1.
+        # on its square-free part u^2 - 1.  Counting its real roots takes
+        # one PRS either way.
         calls = []
-        prem = polyroot._prem
-        monkeypatch.setattr(polyroot, "_prem", lambda a, b: calls.append(b) or prem(a, b))
+        prs = polyroot._prs
+        monkeypatch.setattr(polyroot, "_prs", lambda f: calls.append(f) or prs(f))
         sturm_chain(p)
-        assert len(calls) == limit
+        assert len(calls) == runs
+        assert calls[-1] == list(sturm_chain(p).polys[0].coeffs)
+        calls.clear()
+        assert polyroot.real_root_defect(p) is None
+        assert len(calls) == 1
 
     def test_sign_kernel_sees_finite_points_only(self, monkeypatch):
         # Every point reaches the kernel as integers (a : b) with b >= 0, and
@@ -227,6 +252,8 @@ class TestOnePrs:
             profiles += [profile_from_matrix(m) for m in gen_random(GenSpec(kind, seed=5, count=3, n=n))]
         for profile in profiles:
             assert validate(profile, ValidationLevel.SPECTRAL).ok
+            chi = chi_polynomial(profile)
+            assert sturm_count(sturm_chain(chi), NEG_INF, POS_INF) == sturm_chain(chi).polys[0].degree
             slope(profile)
         assert {(1, 0), (-1, 0)} < set(seen)
         assert all(type(a) is int and type(b) is int and b >= 0 for a, b in seen)
@@ -955,7 +982,7 @@ class _FractionBisection:
         if a.exact is not None:
             return AlgebraicNumber.from_rational(1 / a.exact)
         lo, hi = a.interval
-        rev = polyroot._primitive(IntPolynomial.of(reversed(a.minpoly_factor.coeffs)).coeffs, positive_lead=True)
+        rev = _ref_primitive(reversed(a.minpoly_factor.coeffs), positive_lead=True)
         return AlgebraicNumber(rev, (1 / hi, 1 / lo))
 
 
