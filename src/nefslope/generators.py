@@ -105,7 +105,7 @@ def _draw_rational_matrix(rng: SplitMix64, n: int, bound: int) -> SymMatrixModel
     threshold of the modelled pair is finite, rational and the pair is not
     proportional to the polarization.  Up to two rotations, with cosine a/h
     and sine b/h on coordinates i and j, conjugate it in integers, by ``Q``, h
-    times each, and the product of the h^2 divides it once at the end.
+    times each; the product of the h^2 divides it once, into ints where it can.
     """
     while True:
         spectrum = [rng.in_range(-bound, bound) for _ in range(n)]
@@ -125,7 +125,8 @@ def _draw_rational_matrix(rng: SplitMix64, n: int, bound: int) -> SymMatrixModel
             out[j] = [b * x + a * y for x, y in zip(rows[i], rows[j])]
             rows = [list(col) for col in zip(*out)]
         scale *= h * h
-    return SymMatrixModel(n, tuple(tuple(Fraction(x, scale) for x in row) for row in rows), factorial(n))
+    entries = tuple(tuple(x // scale if x % scale == 0 else Fraction(x, scale) for x in row) for row in rows)
+    return SymMatrixModel(n, entries, factorial(n))
 
 
 def gen_random(spec: GenSpec) -> list[IntersectionProfile | SymMatrixModel]:

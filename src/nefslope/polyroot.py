@@ -5,47 +5,38 @@ degree order, and all exact algebra stays in the integers.  One kernel on
 plain coefficient lists runs the signed primitive pseudo-remainder sequence
 (PRS) of ``f`` and ``f'``, scaling and dividing by positive factors only;
 every other sign is that of homogeneous integer Horner at a point
-``(a : b)``, ``b >= 0``, with +-infinity as ``(+-1 : 0)``.  On top of it the
-module provides:
+``(a : b)``, ``b >= 0``, with +-infinity as ``(+-1 : 0)``.  The module provides:
 
-* ``chi_polynomial`` -- the degree-n integer polynomial attached to an
-  intersection profile, whose maximal real root is the reciprocal of the
-  nef threshold;
-* ``real_root_defect`` -- whether ``p`` is real-rooted, from its one PRS:
-  its distinct real roots are counted at +-infinity off the signs and
-  degrees of the leads, with no evaluation, against ``deg p - deg gcd``;
-* Sturm chains of the square-free part ``h = p / gcd(p, p')``: the PRS of
-  ``p`` if it ends in a constant, else that of ``h``.  Isolation counts roots
-  of ``h`` on the chain (``sturm_count`` on ``(lo, hi]``, ``lo``/``hi``
-  rationals or +-infinity); refinement, ``compare_with_rational`` and the
-  ``k/D`` check read only signs of ``h`` by Horner;
-* ``isolate_max_root`` / ``refine`` -- certified isolation of the largest
-  real root as an :class:`AlgebraicNumber`: isolation bisects from the
-  power-of-two Fujiwara bound, and a narrowing by more than 64 bits runs
-  quadratic interval refinement (QIR; Abbott, 2014), while shorter ones
-  and ``clear_lower_end`` bisect;
-* one divisor walk, ``_positive_points``: the coprime ``(r, s)``, r | c_z
-  and s | c_d, ``c_z`` the lowest nonzero coefficient, from divisors by trial
-  division below 1001, then Miller-Rabin primality proofs and Pollard-Brent
-  factoring on one squaring budget (a cofactor unsplit and unproven, or past
-  256 bits, is refused with :class:`InputError`).  ``candidate_rows``, the
-  certificate trace, gives a row ``(r, s, num, den)`` per point with
-  ``p(r/s) = num/den``; ``rational_root_candidates`` lists the quotients and
-  their negatives; ``rational_roots`` keeps those where ``p`` vanishes at
-  ``(+-r : s)``, and 0 if ``c_0 = 0``;
-* ``cauchy_bound`` -- the classical radius ``1 + max |c_k / c_d|``
-  enclosing every root.
+* ``chi_polynomial`` -- the degree-n integer polynomial of an intersection
+  profile, whose maximal real root is the reciprocal of the nef threshold;
+* ``real_root_defect`` -- whether ``p`` is real-rooted: its distinct real
+  roots are ``V(-inf) - V(+inf)`` on its one PRS, read off the leads;
+* ``sturm_chain`` / ``sturm_count`` -- the PRS of the square-free part
+  ``h = p / gcd(p, p')`` as records, and its root count on ``(lo, hi]``;
+* ``isolate_max_root`` -- the largest real root as an
+  :class:`AlgebraicNumber`, on one integer path: the PRS coefficient lists
+  of ``h``, its ``V(+-inf)`` read off their leads, Sturm bisection from the
+  power-of-two Fujiwara bound with no evaluation at its ends, and narrowing
+  to ``1/(2 D^2)`` on the same shared-denominator ends ``(a, c, b)``, with
+  ``D = lead(h)``; it enumerates no divisors, and one exact check at the one
+  point ``k/D`` its interval can hold decides rationality.  The ``Fraction``
+  ends and the records are built once, for the returned root;
+* ``refine`` / ``clear_lower_end`` -- narrowing that converts an interval
+  to integer ends once each way; past 64 bits it runs quadratic interval
+  refinement (QIR; Abbott, 2014), else it bisects;
+* one divisor walk, ``_positive_points``: the coprime ``(r, s)``, r | c_z and
+  s | c_d, ``c_z`` the lowest nonzero coefficient, by trial division below
+  1001, then Miller-Rabin proofs and Pollard-Brent factoring on one squaring
+  budget (a cofactor unsplit and unproven, or past 256 bits, is refused with
+  :class:`InputError`); ``candidate_rows`` (the certificate trace),
+  ``rational_root_candidates`` and ``rational_roots`` read it;
+* ``cauchy_bound`` -- the classical radius ``1 + max |c_k / c_d|``.
 
-``isolate_max_root`` enumerates no divisors: it isolates the top root of
-the square-free part ``h`` and decides rationality by one exact check at
-the one point ``k / lead(h)``, ``k`` an integer, that its narrowed interval
-can hold.  An :class:`AlgebraicNumber` is therefore rational exactly when its
-``exact`` field is set; no numeric equality test against rationals is ever
-needed.
+An :class:`AlgebraicNumber` is rational exactly when its ``exact`` field is
+set; no numeric equality test against rationals is ever needed.
 """
-
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, gcd, isinf, isqrt, lcm
@@ -108,7 +99,7 @@ class IntPolynomial(Record):
 
     def __call__(self, x: Fraction | int) -> Fraction:
         """Exact value at an int or Fraction argument."""
-        return Fraction(_scaled_value(self, x.numerator, x.denominator), x.denominator ** max(self.degree, 0))
+        return Fraction(_scaled_value(self.coeffs, x.numerator, x.denominator), x.denominator ** max(self.degree, 0))
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
@@ -140,14 +131,15 @@ class IntPolynomial(Record):
 # ---------------------------------------------------------------------------
 # Integer coefficient arithmetic (internal).
 
-def _scaled_value(p: IntPolynomial, a: int, b: int) -> int:
-    """``b^d p(a/b)`` at the integer point ``(a : b)``, ``b >= 0``, by homogeneous Horner.
+def _scaled_value(p: Sequence[int], a: int, b: int) -> int:
+    """``b^d p(a/b)`` at the integer point ``(a : b)``, ``b >= 0``, by homogeneous
+    Horner on the ascending coefficients ``p`` of degree ``d``.
 
     For ``b > 0`` it has the sign of ``p(a/b)``, in lowest terms or not; at
     ``(+-1 : 0)`` it is ``lead(p) (+-1)^d``, the sign of ``p`` at +-infinity.
     """
     acc, scale = 0, 1
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc * a + c * scale
         scale *= b
     return acc
@@ -201,30 +193,38 @@ class SturmChain(Record):
     _fields = ("polys",)
 
 
-def sturm_chain(p: IntPolynomial) -> SturmChain:
-    """Sturm chain of the square-free part of ``p``: the signed primitive PRS
-    of ``f0`` and ``f0'``, if its last member, ``gcd(p, p')`` up to sign, is
-    constant, else that of the square-free ``f0 / gcd``."""
-    if p.is_zero:
-        raise ValueError("cannot build a Sturm chain for the zero polynomial")
-    seq = _prs(_primitive(list(p.coeffs), 0))
+def _square_free_prs(coeffs: Sequence[int]) -> list[list[int]]:
+    """The signed PRS of ``f0``, the primitive part of ``coeffs`` with a positive
+    lead, if it ends in a constant, else that of ``f0 / gcd(f0, f0')``: a Sturm
+    sequence of the square-free part ``h``, its first member."""
+    seq = _prs(_primitive(list(coeffs), 0))
     if len(seq[-1]) > 1:
         seq = _prs(_primitive(_exquo(seq[0], seq[-1]), 0))
-    return SturmChain(tuple(IntPolynomial(tuple(g)) for g in seq))
+    return seq
+
+
+def sturm_chain(p: IntPolynomial) -> SturmChain:
+    """Sturm chain of the square-free part of ``p`` (:func:`_square_free_prs`)."""
+    if p.is_zero:
+        raise ValueError("cannot build a Sturm chain for the zero polynomial")
+    return SturmChain(tuple(IntPolynomial(tuple(g)) for g in _square_free_prs(p.coeffs)))
+
+
+def _end_variations(seq: list[list[int]]) -> tuple[int, int]:
+    """``V(-inf)``, ``V(+inf)`` of a PRS: the sign changes along ``(-1)^deg lead`` and ``lead``."""
+    pos = [g[-1] > 0 for g in seq]
+    neg = [s == len(g) % 2 for s, g in zip(pos, seq)]
+    return sum(map(operator.ne, neg, neg[1:])), sum(map(operator.ne, pos, pos[1:]))
 
 
 def real_root_defect(p: IntPolynomial) -> tuple[int, IntPolynomial] | None:
     """None if every root of a nonzero ``p`` is real; else the number of its
     distinct real roots and its square-free part ``h``, of larger degree.
-    By Sturm's theorem on one signed PRS ``f_0, ..., f_m`` of ``f0`` and
-    ``f0'``, the count is ``V(-inf) - V(+inf)``, the sign changes along the
-    ``(-1)^deg(f_i) lead(f_i)`` less those along the ``lead(f_i)``, and
-    ``deg h = deg f0 - deg f_m``; ``h = f0 / f_m``, primitive with a positive
-    lead, is built only for a defect."""
+    By Sturm's theorem on one signed PRS ``f_0, ..., f_m`` of ``f0`` and ``f0'``
+    the count is ``V(-inf) - V(+inf)``, and ``deg h = deg f0 - deg f_m``; ``h =
+    f0 / f_m``, primitive with a positive lead, is built only for a defect."""
     seq = _prs(_primitive(list(p.coeffs), 0))
-    pos = [g[-1] > 0 for g in seq]
-    neg = [s == len(g) % 2 for s, g in zip(pos, seq)]
-    real = sum(map(operator.ne, neg, neg[1:])) - sum(map(operator.ne, pos, pos[1:]))
+    real = operator.sub(*_end_variations(seq))
     if real == len(seq[0]) - len(seq[-1]):
         return None
     return real, IntPolynomial(tuple(_primitive(_exquo(seq[0], seq[-1]), 0)))
@@ -239,17 +239,18 @@ def _point(x: Endpoint | int) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def _variations(chain: SturmChain, a: int, b: int) -> int:
-    """Sign variations of the chain at the point ``(a : b)``."""
-    signs = [s for s in (_sgn(_scaled_value(q, a, b)) for q in chain.polys) if s]
-    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+def _variations(seq: Sequence[Sequence[int]], a: int, b: int) -> int:
+    """Sign variations of the coefficient sequences ``seq`` at the point ``(a : b)``."""
+    signs = [v > 0 for q in seq if (v := _scaled_value(q, a, b))]
+    return sum(map(operator.ne, signs, signs[1:]))
 
 
 def sturm_count(chain: SturmChain, lo: Endpoint, hi: Endpoint) -> int:
     """Number of distinct real roots in the half-open interval ``(lo, hi]``."""
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi}]")
-    count = _variations(chain, *_point(lo)) - _variations(chain, *_point(hi))
+    seq = [q.coeffs for q in chain.polys]
+    count = _variations(seq, *_point(lo)) - _variations(seq, *_point(hi))
     if count < 0:
         raise AssertionError("sign variations must be monotone along the chain")
     return count
@@ -267,18 +268,18 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return 1 + Fraction(top, lead)
 
 
-def _fujiwara_bound(p: IntPolynomial) -> Fraction:
-    """A power of two ``B`` with every root of ``p`` strictly inside ``(-B, B)``.
+def _fujiwara_exponent(p: Sequence[int]) -> int:
+    """An ``e`` with every root of the coefficients ``p`` strictly inside ``(-2^e, 2^e)``.
 
     Fujiwara's bound ``2 max_k |c_{d-k} / c_d|^(1/k)`` (Fujiwara, 1916) over
     the nonzero lower coefficients, rounded up by bit lengths: as
-    ``|c_{d-k} / c_d| < 2^(bits(c_{d-k}) - bits(c_d) + 1)``, ``B`` is ``2^(1 +
-    max_k ceil((bits(c_{d-k}) - bits(c_d) + 1) / k))``, and 1 when every
-    lower coefficient is zero.
+    ``|c_{d-k} / c_d| < 2^(bits(c_{d-k}) - bits(c_d) + 1)``, ``e`` is ``1 +
+    max_k ceil((bits(c_{d-k}) - bits(c_d) + 1) / k)``, and 0 when every lower
+    coefficient is zero.
     """
-    top = p.coeffs[-1].bit_length()
-    exps = [-((top - 1 - c.bit_length()) // k) for k, c in enumerate(reversed(p.coeffs[:-1]), 1) if c]
-    return Fraction(2) ** (1 + max(exps)) if exps else Fraction(1)
+    top = p[-1].bit_length()
+    exps = [-((top - 1 - c.bit_length()) // k) for k, c in enumerate(reversed(p[:-1]), 1) if c]
+    return 1 + max(exps) if exps else 0
 
 
 #: Miller-Rabin bases that prove primality below ``_MR_PROVEN`` (Sorenson and Webster, 2015).
@@ -412,17 +413,15 @@ def candidate_rows(p: IntPolynomial) -> tuple[tuple[int, int, int, int], ...]:
     reduced by one gcd, so both fractions are in lowest terms."""
     rows, d = [], max(p.degree, 0)
     for r, s in _positive_points(p):
-        num, den = _scaled_value(p, r, s), s**d
+        num, den = _scaled_value(p.coeffs, r, s), s**d
         g = gcd(num, den)
         rows.append((r, s, num // g, den // g))
     return tuple(rows)
 
 
 def rational_root_candidates(p: IntPolynomial) -> tuple[Fraction, ...]:
-    """All candidates +-r/s with r | |c_0| and s | |c_d|, in descending order.
-
-    Zero roots are stripped first; 0 itself is never listed as a candidate.
-    """
+    """All candidates +-r/s with r | |c_0| and s | |c_d|, in descending order;
+    zero roots are stripped first, and 0 itself is never listed."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     positive = tuple(Fraction(r, s) for r, s in _positive_points(p))
@@ -436,8 +435,8 @@ def rational_roots(p: IntPolynomial) -> tuple[Fraction, ...]:
     if p.is_zero:
         raise ValueError("zero polynomial")
     points = _positive_points(p)
-    above = [Fraction(r, s) for r, s in points if _scaled_value(p, r, s) == 0]
-    below = [Fraction(-r, s) for r, s in reversed(points) if _scaled_value(p, -r, s) == 0]
+    above = [Fraction(r, s) for r, s in points if _scaled_value(p.coeffs, r, s) == 0]
+    below = [Fraction(-r, s) for r, s in reversed(points) if _scaled_value(p.coeffs, -r, s) == 0]
     return tuple(above + [Fraction(0)] * (p.coeffs[0] == 0) + below)
 
 
@@ -499,16 +498,16 @@ class AlgebraicNumber(Record):
 _QIR_CELLS = 2**64
 
 
-def _cells(a: int, c: int, b: int, width: Fraction) -> int:
-    """The least ``2^k`` with ``(c - a) / (b 2^k) <= width``."""
-    return 1 << (((c - a) * width.denominator - 1) // (width.numerator * b)).bit_length()
+def _cells(a: int, c: int, b: int, num: int, den: int) -> int:
+    """The least ``2^k`` with ``(c - a) / (b 2^k) <= num / den``."""
+    return 1 << (((c - a) * den - 1) // (num * b)).bit_length()
 
 
-def _bisect(p: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction | None = None) -> AlgebraicNumber:
-    """Narrow ``(lo, hi]``, isolating a root of ``p``, until an evaluated
-    point is the root or the ends ``(a/b, c/b]`` meet the stopping rule:
-    with a ``width``, ``c/b - a/b <= width``; without one, the interval
-    keeps clear of 0 and ``p(a/b) != 0``.
+def _bisect(p: Sequence[int], a: int, c: int, b: int, width: tuple[int, int] | None = None) -> tuple[int, int, int]:
+    """Narrow ``(a/b, c/b]``, ``b > 0``, isolating a root of the coefficients
+    ``p``, to ``(a, c, b)`` meeting the stopping rule, or to ``(x, x, y)`` once
+    a point ``(x : y)`` is the root.  With a width ``num/den`` the rule is ``c/b
+    - a/b <= num/den``; without, the interval keeps clear of 0 and ``p(a/b) != 0``.
 
     Bisection doubles ``b`` and the kept end, so the midpoint is ``(a + c :
     2b)`` and no fraction is reduced.  With a ``width``, the power-of-two
@@ -521,35 +520,32 @@ def _bisect(p: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction | None
     to or opposite that at ``hi`` are read: ``lo`` may be a root below the
     number, and its value steers the secant only.
     """
-    b = lcm(lo.denominator, hi.denominator)
-    a, c = lo.numerator * (b // lo.denominator), hi.numerator * (b // hi.denominator)
-    if width is not None:
-        num, den = width.numerator, width.denominator
-    d, v_hi = p.degree, None
+    num, den = width or (0, 1)
+    d, v_hi = len(p) - 1, None
     while not ((c - a) * den <= num * b if width is not None else (a > 0 or c < 0) and _scaled_value(p, a, b) != 0):
         if v_hi is None:
             # The first step takes the value at hi, and for QIR at lo.
             v_hi = _scaled_value(p, c, b)
             if v_hi == 0:
-                return AlgebraicNumber.from_rational(hi)
+                return c, c, b
             s_hi = _sgn(v_hi)
-            n = 4 if width is not None and _cells(a, c, b, width) > _QIR_CELLS else 0
+            n = 4 if width is not None and _cells(a, c, b, num, den) > _QIR_CELLS else 0
             v_lo = _scaled_value(p, a, b) if n else 0
         if n:
-            m = min(n, _cells(a, c, b, width))
+            m = min(n, _cells(a, c, b, num, den))
             # The secant crosses zero at the share v_lo / (v_lo - v_hi) of the
             # interval; the guess is the nearest inner grid point.
             t, u = -s_hi * v_lo * m, s_hi * (v_hi - v_lo)
             j = min(max((2 * t + u) // (2 * u), 1), m - 1)
             step, base, bm = c - a, a * m, b * m
-            v = _scaled_value(p, base + j * step, bm)
+            v = _scaled_value(p, x := base + j * step, bm)
             if v == 0:
-                return AlgebraicNumber.from_rational(Fraction(base + j * step, bm))
+                return x, x, bm
             k = j - 1 if _sgn(v) == s_hi else j + 1
             if k == 0 or k == m:
                 w = (v_lo if k == 0 else v_hi) * m**d
-            elif (w := _scaled_value(p, base + k * step, bm)) == 0:
-                return AlgebraicNumber.from_rational(Fraction(base + k * step, bm))
+            elif (w := _scaled_value(p, x := base + k * step, bm)) == 0:
+                return x, x, bm
             if _sgn(w) != _sgn(v):
                 a, b, n = base + min(j, k) * step, bm, n * n
                 c, (v_lo, v_hi) = a + step, ((w, v) if k < j else (v, w))
@@ -558,26 +554,34 @@ def _bisect(p: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction | None
         mid, b = a + c, 2 * b
         v = _scaled_value(p, mid, b)
         if v == 0:
-            return AlgebraicNumber.from_rational(Fraction(mid, b))
+            return mid, mid, b
         if _sgn(v) == s_hi:
             a, c, v_lo, v_hi = 2 * a, mid, v_lo << d, v
         else:
             a, c, v_lo, v_hi = mid, 2 * c, v, v_hi << d
-    return AlgebraicNumber(p, (Fraction(a, b), Fraction(c, b)))
+    return a, c, b
+
+
+def _narrow(a: AlgebraicNumber, width: tuple[int, int] | None = None) -> AlgebraicNumber:
+    """:func:`_bisect` on the ends of ``a`` over their least common
+    denominator, converted once each way; exact values pass through."""
+    if a.exact is not None:
+        return a
+    (lo, hi), p = a.interval, a.minpoly_factor
+    b = lcm(lo.denominator, hi.denominator)
+    x, y, b = _bisect(p.coeffs, lo.numerator * (b // lo.denominator), hi.numerator * (b // hi.denominator), b, width)
+    if x == y:
+        return AlgebraicNumber.from_rational(Fraction(y, b))
+    return AlgebraicNumber(p, (Fraction(x, b), Fraction(y, b)))
 
 
 def refine(a: AlgebraicNumber, width: Fraction) -> AlgebraicNumber:
-    """Shrink the isolating interval to length <= ``width``; exact values pass through.
-
-    A narrowing by more than 64 bits runs QIR, a shorter one bisects; see
-    :func:`_bisect`.
-    """
+    """Shrink the isolating interval to length <= ``width`` by :func:`_bisect`
+    (QIR past 64 bits); exact values pass through."""
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    if a.exact is not None:
-        return a
-    return _bisect(a.minpoly_factor, *a.interval, width)
+    return _narrow(a, (width.numerator, width.denominator))
 
 
 def clear_lower_end(a: AlgebraicNumber) -> AlgebraicNumber:
@@ -588,9 +592,7 @@ def clear_lower_end(a: AlgebraicNumber) -> AlgebraicNumber:
     keeps both properties, since ``lo`` only grows and a bisection midpoint
     that is a root makes the number exact.
     """
-    if a.exact is not None:
-        return a
-    return _bisect(a.minpoly_factor, *a.interval)
+    return _narrow(a)
 
 
 def compare_with_rational(a: AlgebraicNumber, value: Fraction | int) -> int:
@@ -606,7 +608,7 @@ def compare_with_rational(a: AlgebraicNumber, value: Fraction | int) -> int:
     # value falls inside (lo, hi], where the number is the only root: a root
     # at hi or at value is the number, and otherwise the single sign change
     # locates the number relative to value.
-    p = a.minpoly_factor
+    p = a.minpoly_factor.coeffs
     s_hi = _sgn(_scaled_value(p, *_point(hi)))
     if s_hi == 0:
         return _sgn(hi - value)
@@ -619,7 +621,7 @@ def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:
     # lo must not be a root, an interval that already holds the guard
     # inverts without bisection, and a root at hi is the number, exactly.
     a = clear_lower_end(a)
-    if a.exact is None and _scaled_value(a.minpoly_factor, *_point(a.interval[1])) == 0:
+    if a.exact is None and _scaled_value(a.minpoly_factor.coeffs, *_point(a.interval[1])) == 0:
         a = AlgebraicNumber.from_rational(a.interval[1])
     if a.exact is not None:
         if a.exact == 0:
@@ -633,55 +635,52 @@ def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:
 # ---------------------------------------------------------------------------
 # Maximal-root isolation.
 
-def _isolate_topmost(chain: SturmChain, bound: Fraction) -> tuple[Fraction, Fraction] | None:
-    """Shrink ``(-bound, bound]`` (no root above it) around the largest root,
-    or None if it holds no root.  As in :func:`_bisect`, the ends share one
-    denominator, and their variation counts are carried: one chain evaluation
-    per step."""
-    a, c, b = -bound.numerator, bound.numerator, bound.denominator
-    v_lo, v_hi = _variations(chain, a, b), _variations(chain, c, b)
+def _isolate_topmost(seq: list[list[int]], a: int, c: int, b: int) -> tuple[int, int, int] | None:
+    """Shrink ``(a/b, c/b]``, which holds every real root of the first member
+    ``h`` of the Sturm sequence ``seq`` strictly inside, around the largest,
+    in lowest terms, or None if ``h`` has no real root.  The ends' counts are
+    those at +-infinity, off the leads; each step evaluates the chain once."""
+    v_lo, v_hi = _end_variations(seq)
     if v_lo == v_hi:
         return None
     while v_lo - v_hi > 1:
         mid, b = a + c, 2 * b
-        v_mid = _variations(chain, mid, b)
+        v_mid = _variations(seq, mid, b)
         if v_mid > v_hi:
             a, c, v_lo = mid, 2 * c, v_mid
         else:
             a, c, v_hi = 2 * a, mid, v_mid
-    return Fraction(a, b), Fraction(c, b)
+    g = gcd(a, c, b)
+    return a // g, c // g, b // g
 
 
 def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
     """The largest real root of ``p``, or None if ``p`` has no real root.
 
     The root is isolated on the square-free part ``h`` by Sturm bisection
-    from ``(-B, B]``, with ``B`` the power-of-two Fujiwara bound of ``h``,
-    and narrowed by :func:`refine` to ``1/(2 D^2)``, ``D = lead(h)``, which
-    runs QIR when that is more than 64 bits away.  A rational root of ``h``
-    has a denominator dividing ``D``, so it is ``k/D`` for an integer ``k``,
-    and the narrowed ``(lo, hi]`` holds at most one such point, ``k =
-    floor(D hi)``; one exact evaluation decides it.  An irrational root keeps
-    that narrowed interval.
+    from ``(-B, B]``, ``B = 2^e`` the Fujiwara bound of ``h``, and narrowed by
+    :func:`_bisect` to ``1/(2 D^2)``, ``D = lead(h)``, all on integer ends
+    ``(a, c, b)``.  A rational root of ``h`` is ``k/D`` for an integer ``k``,
+    and the narrowed ``(lo, hi]`` holds at most one such point, ``k = floor(D
+    hi)``; one exact evaluation decides it.  An irrational root keeps that
+    narrowed interval.
     """
     if p.degree < 1:
         raise ValueError("isolate_max_root requires a nonzero polynomial of degree >= 1")
-    chain = sturm_chain(p)
-    h = chain.polys[0]
-    top = _isolate_topmost(chain, _fujiwara_bound(h))
+    seq = _square_free_prs(p.coeffs)
+    h, e = seq[0], _fujiwara_exponent(seq[0])
+    top = _isolate_topmost(seq, *((-1 << e, 1 << e, 1) if e >= 0 else (-1, 1, 1 << -e)))
     if top is None:
         return None
-    denom = h.coeffs[-1]
-    root = refine(AlgebraicNumber(h, top), Fraction(1, 2 * denom * denom))
-    if root.exact is not None:
-        return root
-    lo, hi = root.interval
-    k = denom * hi.numerator // hi.denominator
-    # The test lo < k/D matters when the root is irrational: k/D may then be
+    denom = h[-1]
+    a, c, b = _bisect(h, *top, (1, 2 * denom * denom))
+    # The test a/b < k/D matters when the root is irrational: k/D may then be
     # another root of h, below the maximum.
-    if lo.numerator * denom < k * lo.denominator and _scaled_value(h, k, denom) == 0:
-        return AlgebraicNumber.from_rational(Fraction(k, denom))
-    return root
+    if a != c and a * denom < (k := denom * c // b) * b and _scaled_value(h, k, denom) == 0:
+        a, c, b = k, k, denom
+    if a == c:
+        return AlgebraicNumber.from_rational(Fraction(c, b))
+    return AlgebraicNumber(IntPolynomial(tuple(h)), (Fraction(a, b), Fraction(c, b)))
 
 
 # ---------------------------------------------------------------------------

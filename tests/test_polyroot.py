@@ -3,7 +3,8 @@
 import random
 import sys
 from fractions import Fraction
-from math import gcd, prod
+from math import floor, gcd, prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -275,6 +276,29 @@ def _recording(fn, limit, points=None):
     return recorded
 
 
+def _recording_kernels(monkeypatch, limit, points):
+    """Patch both sign kernels to list their points in ``points`` as
+    :func:`_recording` does: each chain evaluation (``_variations``) once,
+    not once per member, and each other sign (``_scaled_value``)."""
+    variations, scaled_value, in_chain = polyroot._variations, polyroot._scaled_value, []
+
+    def chain(seq, a, b):
+        in_chain.append(True)
+        try:
+            return variations(seq, a, b)
+        finally:
+            in_chain.pop()
+
+    value = _recording(scaled_value, limit, points)
+    monkeypatch.setattr(polyroot, "_variations", _recording(chain, limit, points))
+    monkeypatch.setattr(polyroot, "_scaled_value", lambda p, a, b: (scaled_value if in_chain else value)(p, a, b))
+
+
+def _interval(ends):
+    """The ``(lo, hi)`` of integer ends ``(a, c, b)``, or None."""
+    return ends and (Fraction(ends[0], ends[2]), Fraction(ends[1], ends[2]))
+
+
 def _mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
     for i, x in enumerate(a.coeffs):
@@ -306,10 +330,10 @@ class TestCauchyBound:
 
 class TestFujiwaraBound:
     def test_examples(self):
-        assert polyroot._fujiwara_bound(P([2, -6, 2])) == 8
-        assert polyroot._fujiwara_bound(P([-2, 0, 1])) == 4
-        assert polyroot._fujiwara_bound(P([0, 1])) == 1
-        assert polyroot._fujiwara_bound(P([-1, 1024])) == Fraction(1, 256)
+        assert Fraction(2) ** polyroot._fujiwara_exponent(P([2, -6, 2]).coeffs) == 8
+        assert Fraction(2) ** polyroot._fujiwara_exponent(P([-2, 0, 1]).coeffs) == 4
+        assert Fraction(2) ** polyroot._fujiwara_exponent(P([0, 1]).coeffs) == 1
+        assert Fraction(2) ** polyroot._fujiwara_exponent(P([-1, 1024]).coeffs) == Fraction(1, 256)
 
     def test_power_of_two_with_roots_strictly_inside(self):
         # Degrees 1..9, coefficients up to 10^12, a third of the lower ones
@@ -323,9 +347,9 @@ class TestFujiwaraBound:
                       for _ in range(degree)]
             coeffs.append(rng.in_range(1, 10 ** rng.in_range(0, 6)) * (-1 if rng.below(2) else 1))
             p = P(coeffs)
-            bound = polyroot._fujiwara_bound(p)
-            assert 1 in (bound.numerator, bound.denominator)
-            assert bound.numerator & (bound.numerator - 1) == 0 and bound.denominator & (bound.denominator - 1) == 0
+            e = polyroot._fujiwara_exponent(p.coeffs)
+            assert type(e) is int
+            bound = Fraction(2) ** e
             poly = sympy.Poly(list(reversed(p.coeffs)), u).sqf_part()
             b = sympy.Rational(bound.numerator, bound.denominator)
             inside = poly.count_roots(-b, b) - (poly.eval(-b) == 0) - (poly.eval(b) == 0)
@@ -571,11 +595,11 @@ class TestIsolateMaxRoot:
         assert ilo * ilo < Fraction(1, d) < ihi * ihi
 
     @pytest.mark.parametrize(
-        "p,limit", [(from_roots([1, 2, 3, 4, 5, 6]), 13), (P([-2, 0, 1]), 3)], ids=["six-roots", "sqrt2"]
+        "p,limit", [(from_roots([1, 2, 3, 4, 5, 6]), 7), (P([-2, 0, 1]), 1)], ids=["six-roots", "sqrt2"]
     )
     def test_chain_evaluated_once_per_bisection(self, monkeypatch, p, limit):
-        # Both ends' variation counts are carried along, and the starting
-        # interval is counted once.
+        # Both ends' variation counts are carried along, and those of the
+        # starting interval are read off the leads, with no evaluation.
         monkeypatch.setattr(polyroot, "_variations", _recording(polyroot._variations, limit))
         root = isolate_max_root(p)
         assert root.exact == 6 or in_interval_surd(*root.interval, Fraction(0), Fraction(1), 2)
@@ -915,6 +939,7 @@ class _FractionBisection:
 
     def __init__(self):
         self.points = []
+        self.decided_by_check = False
 
     def sign(self, p: IntPolynomial, x: Fraction) -> int:
         self.points.append(x)
@@ -924,6 +949,11 @@ class _FractionBisection:
 
     def variations(self, chain, x) -> int:
         self.points.append(x)
+        return self.count(chain, x)
+
+    def count(self, chain, x) -> int:
+        """Sign variations of the chain at ``x``, listing no point: at +-inf
+        off the leads, elsewhere from each member's sign."""
         if x in (NEG_INF, POS_INF):
             odd_sign = -1 if x < 0 else 1
             signs = [(1 if q.coeffs[-1] > 0 else -1) * (odd_sign if q.degree % 2 else 1) for q in chain.polys]
@@ -962,8 +992,11 @@ class _FractionBisection:
             a = next(steps)
         return a
 
-    def isolate_topmost(self, chain, lo: Fraction, hi: Fraction):
-        v_lo, v_hi = self.variations(chain, lo), self.variations(chain, hi)
+    def isolate_topmost(self, chain, bound: Fraction):
+        """Bisect ``(-bound, bound]``, which holds every root strictly inside,
+        from the counts at +-inf, which evaluate no point."""
+        lo, hi = -bound, bound
+        v_lo, v_hi = self.count(chain, NEG_INF), self.count(chain, POS_INF)
         if v_lo == v_hi:
             return None
         while v_lo - v_hi > 1:
@@ -974,6 +1007,25 @@ class _FractionBisection:
             else:
                 hi, v_hi = mid, v_mid
         return lo, hi
+
+    def isolate_max_root(self, p: IntPolynomial) -> AlgebraicNumber | None:
+        """Reference isolation from the Fujiwara bound on the reference chain,
+        reference refinement to ``1/(2 D^2)``, then the ``k/D`` check."""
+        chain = SimpleNamespace(polys=_reference_chain(p))
+        h = chain.polys[0]
+        top = self.isolate_topmost(chain, Fraction(2) ** polyroot._fujiwara_exponent(h.coeffs))
+        if top is None:
+            return None
+        denom = h.coeffs[-1]
+        root = self.refine(AlgebraicNumber(h, top), Fraction(1, 2 * denom * denom))
+        if root.exact is not None:
+            return root
+        lo, hi = root.interval
+        k = Fraction(floor(denom * hi), denom)
+        if lo < k and self.sign(h, k) == 0:
+            self.decided_by_check = True
+            return AlgebraicNumber.from_rational(k)
+        return root
 
     def reciprocal(self, a: AlgebraicNumber) -> AlgebraicNumber:
         a = self.clear_lower_end(a)
@@ -1028,8 +1080,10 @@ class TestFractionBisectionOracle:
             top = self.check(
                 monkeypatch,
                 "_variations",
-                lambda: polyroot._isolate_topmost(chain, bound),
-                lambda ref: ref.isolate_topmost(chain, -bound, bound),
+                lambda: _interval(polyroot._isolate_topmost(
+                    [q.coeffs for q in chain.polys], -bound.numerator, bound.numerator, bound.denominator
+                )),
+                lambda ref: ref.isolate_topmost(chain, bound),
             )
             if top is None:
                 continue
@@ -1047,6 +1101,24 @@ class TestFractionBisectionOracle:
             seen.add((p.coeffs[-1] < 0, p.coeffs[0] == 0, raw.interval[0] < 0 < raw.interval[1]))
             seen.add("cleared" if cleared.interval != raw.interval else "kept")
         assert {"exact", "inexact", "cleared", "kept", "root at hi", (True, True, True)} <= seen
+
+    def test_isolate_max_root_end_to_end(self, monkeypatch):
+        # Isolation, narrowing and the k/D check, against the reference
+        # pipeline: the same chain points, then the same signs of h, in order.
+        seen = set()
+        for p in _seeded_polynomials(6007, 1200):
+            if p.degree < 1:
+                continue
+            ref, points = _FractionBisection(), []
+            expected = ref.isolate_max_root(p)
+            with monkeypatch.context() as m:
+                _recording_kernels(m, len(ref.points), points)
+                root = isolate_max_root(p)
+            assert points == ref.points, p
+            assert root == expected, p
+            seen.add("none" if root is None else "inexact" if root.exact is None else "exact")
+            seen.add(ref.decided_by_check)
+        assert seen == {"none", "inexact", "exact", True, False}
 
     def test_threshold_intervals(self, monkeypatch):
         for p in _seeded_polynomials(8009, 400):

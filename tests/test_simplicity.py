@@ -10,6 +10,7 @@ from nefslope import simplicity
 from nefslope.errors import AsymmetricInput, InconsistentContext, InputError
 from nefslope.generators import GenSpec, SplitMix64, gen_product, gen_random
 from nefslope.numdata import IntersectionProfile, SymMatrixModel, profile_from_matrix
+from nefslope.polyroot import chi_polynomial
 from nefslope.simplicity import (
     CONSISTENT,
     INFINITE,
@@ -247,3 +248,37 @@ class TestWitnessRoundTrip:
             # singular boundary endomorphism <=> vanishing top self-intersection
             boundary = binary_profile(profile, value.denominator, -value.numerator)
             assert boundary.v[0] == 0
+
+
+def _sympy_scan_verdict(chi: sympy.Poly) -> tuple[str, Fraction | None]:
+    """The scan verdict and witness slope of a non-proportional profile from
+    sympy alone: the largest rational root ``q`` (``ground_roots``) is the
+    maximal root when ``count_roots`` finds no other root in ``[q, inf)``."""
+    h = chi.sqf_part()
+    if h.count_roots() == 0:
+        return INFINITE, None
+    rational = [q for q in h.ground_roots() if h.count_roots(q, None) == 1]
+    if rational:
+        top = Fraction(int(rational[0].p), int(rational[0].q))
+        return (WITNESS, 1 / top) if top > 0 else (INFINITE, None)
+    positive = h.count_roots(0, None) - (h.eval(0) == 0)
+    return (IRRATIONAL, None) if positive else (INFINITE, None)
+
+
+class TestScanAgainstSympy:
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("kind", ["rational-matrix", "product-matrix"])
+    def test_scan_sizes(self, kind, n):
+        # The scan-matrix strata: bound 10, n = 4 and 5, seeds 1-20.
+        u, seen = sympy.Symbol("u"), set()
+        for seed in range(1, 21):
+            labelled = [(f"{seed}#{k}", profile_from_matrix(m))
+                        for k, m in enumerate(gen_random(GenSpec(kind, seed=seed, count=3, n=n, bound=10)))]
+            for (label, profile), entry in zip(labelled, scan(labelled).entries):
+                chi = sympy.Poly(list(reversed(chi_polynomial(profile).coeffs)), u)
+                verdict, value = _sympy_scan_verdict(chi)
+                assert (entry.verdict, entry.slope_fraction) == (verdict, value), (label, chi)
+                seen.add(verdict)
+        # Rational-matrix spectra give rational thresholds; the product-matrix
+        # draws at these sizes all have irrational ones.
+        assert seen == {WITNESS if kind == "rational-matrix" else IRRATIONAL}
