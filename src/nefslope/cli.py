@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--n", type=int, default=2, help="dimension for matrix kinds")
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument("--bound", type=int, default=10, help="entry bound, at most 2^63 - 1")
     p.set_defaults(func=_cmd_gen)
 
     return parser

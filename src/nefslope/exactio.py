@@ -8,11 +8,12 @@ one module that checks the int-string limit: on input, on output (an
 :class:`InputError`) and in messages (a bit length).
 
 Each number is parsed once, into its canonical exact value: an ``int`` when
-it is integral, a ``Fraction`` only for a true ``p/q`` or decimal.  A string
-no longer than the int-string limit is first tried with ``int(text, 10)``;
-when that accepts it, the digit scan is skipped, which is safe because such
-a string has no more digits than characters and no exponent.  Every other
-string is scanned and parsed as before, with the same errors.
+it is integral, a ``Fraction`` only for a true ``p/q`` or decimal.  Every
+string goes to ``int(text, 10)`` first, before any digit scan: ``int()``
+enforces the int-string limit itself, counting digits only, and takes no
+exponent.  Only a string it rejects is scanned, so that a number past the
+limit, its written exponent included, gets the limit error, and then parsed
+as a ``Fraction`` or rejected by name.
 
 :class:`Record` is the base of the package's frozen value types.  It stands
 in for ``dataclasses``, so neither start-up nor ``gen`` imports
@@ -92,21 +93,6 @@ def _check_digits(text: str, field: str) -> None:
         raise InputError(f"{field}: number has {digits} digits written out, more than the limit of {limit}")
 
 
-def _as_int(text: str) -> int | None:
-    """``int(text, 10)`` when ``text`` is at most the int-string limit long and
-    ``int`` accepts it, else None.  Such a string cannot pass the limit: it has
-    no more digits than characters, and ``int`` accepts no exponent.  What
-    ``int`` accepts (whitespace, sign, ``_`` separators, Unicode digits),
-    ``Fraction`` accepts with the same value."""
-    limit = sys.get_int_max_str_digits()
-    if limit and len(text) > limit:
-        return None
-    try:
-        return int(text, 10)
-    except ValueError:
-        return None
-
-
 def exact(x: int | Fraction) -> int | Fraction:
     """The canonical exact value of ``x``: a plain ``int`` when integral, else a ``Fraction``."""
     if type(x) is int:
@@ -117,31 +103,31 @@ def exact(x: int | Fraction) -> int | Fraction:
 
 
 def parse_int(value: int | str, field: str) -> int:
-    """A JSON integer, or a decimal integer string.  A string no longer than
-    the int-string limit that ``int(text, 10)`` accepts skips the digit scan:
-    it cannot pass the limit (:func:`_as_int`)."""
+    """A JSON integer, or a decimal integer string.  ``int()`` runs first, on
+    the string as ``str.strip`` leaves it (which, unlike ``int()``, also drops
+    U+001C..U+001F); the digit scan runs only when ``int()`` rejects it."""
     if not isinstance(value, str):
         return require_int(value, field)
-    if (x := _as_int(value)) is not None:
-        return x
-    _check_digits(value, field)
     try:
         return int(value.strip(), 10)
     except ValueError as exc:
+        _check_digits(value, field)
         raise InputError(f"{field}: not a decimal integer: {value!r}") from exc
 
 
 def parse_rational(value: int | str, field: str) -> int | Fraction:
     """A JSON integer, or a ``p``, ``p/q`` or decimal string, as its exact
-    value: an ``int`` when integral, else a ``Fraction``.  A string that
-    ``int(text, 10)`` accepts skips the digit scan, as in :func:`parse_int`."""
+    value: an ``int`` when integral, else a ``Fraction``.  ``int(text, 10)``
+    runs first; the digit scan and ``Fraction`` run only when it rejects the
+    string."""
     if is_int(value):
         return value
     if not isinstance(value, str):
         raise InputError(f"{field}: expected a rational or 'p/q' string, got {value!r}")
-    if (x := _as_int(value)) is not None:
-        return x
-    _check_digits(value, field)
+    try:
+        return int(value, 10)
+    except ValueError:
+        _check_digits(value, field)
     try:
         return exact(Fraction(value.strip()))
     except (ValueError, ZeroDivisionError) as exc:

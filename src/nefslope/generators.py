@@ -3,7 +3,8 @@
 Random streams use SplitMix64 with the standard constants (increment
 0x9E3779B97F4A7C15, mixers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB,
 shifts 30/27/31); bounded draws reduce the 64-bit output modulo the range
-size.  The algorithm is fixed so that a seed produces the identical
+size, so a range holds at most 2^64 values and ``bound`` is at most
+2^63 - 1.  The algorithm is fixed so that a seed produces the identical
 instance stream in any implementation.
 
 Three kinds of instances are generated:
@@ -70,7 +71,8 @@ class GenSpec(Record):
         require_int(seed, "seed")
         require_int(count, "count", 0)
         require_int(n, "n", 2 if kind == RATIONAL_MATRIX else 1)  # a rational-matrix spectrum is never constant
-        require_int(bound, "bound", 1)
+        require_int(bound, "bound", 1)  # first, so that 0 keeps its "at least 1" message
+        require_int(bound, "bound", 1, 2**63 - 1)  # one 64-bit draw spans [-bound, bound]
         d = self.__dict__
         d["kind"], d["seed"], d["count"], d["n"], d["bound"] = kind, seed, count, n, bound
 

@@ -16,11 +16,12 @@ every other sign is that of homogeneous integer Horner at a point
 * ``isolate_max_root`` -- the largest real root as an
   :class:`AlgebraicNumber`, on one integer path: the PRS coefficient lists
   of ``h``, its ``V(+-inf)`` read off their leads, Sturm bisection from the
-  power-of-two Fujiwara bound with no evaluation at its ends, and narrowing
-  to ``1/(2 D^2)`` on the same shared-denominator ends ``(a, c, b)``, with
-  ``D = lead(h)``; it enumerates no divisors, and one exact check at the one
-  point ``k/D`` its interval can hold decides rationality.  The ``Fraction``
-  ends and the records are built once, for the returned root;
+  power-of-two Fujiwara bound with no evaluation at its ends, narrowing to
+  ``1/(2 D^2)`` on the same shared-denominator ends ``(a, c, b)``, with
+  ``D = lead(h)``, and for an irrational root the clearing bisection of
+  ``clear_lower_end``; it enumerates no divisors, and one exact check at the
+  one point ``k/D`` its interval can hold decides rationality.  The
+  ``Fraction`` ends and the records are built once, for the cleared root;
 * ``refine`` / ``clear_lower_end`` -- narrowing that converts an interval
   to integer ends once each way; past 64 bits it runs quadratic interval
   refinement (QIR; Abbott, 2014), else it bisects;
@@ -662,8 +663,10 @@ def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
     :func:`_bisect` to ``1/(2 D^2)``, ``D = lead(h)``, all on integer ends
     ``(a, c, b)``.  A rational root of ``h`` is ``k/D`` for an integer ``k``,
     and the narrowed ``(lo, hi]`` holds at most one such point, ``k = floor(D
-    hi)``; one exact evaluation decides it.  An irrational root keeps that
-    narrowed interval.
+    hi)``; one exact evaluation decides it.  An irrational root is bisected on
+    the same triple until its interval is the one :func:`clear_lower_end`
+    gives: clear of 0 (``lo > 0`` or ``hi < 0``), with ``lo`` not a root of
+    ``h``.
     """
     if p.degree < 1:
         raise ValueError("isolate_max_root requires a nonzero polynomial of degree >= 1")
@@ -680,6 +683,7 @@ def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
         a, c, b = k, k, denom
     if a == c:
         return AlgebraicNumber.from_rational(Fraction(c, b))
+    a, c, b = _bisect(h, a, c, b)  # clear of 0; the root is irrational, so no midpoint is a root
     return AlgebraicNumber(IntPolynomial(tuple(h)), (Fraction(a, b), Fraction(c, b)))
 
 

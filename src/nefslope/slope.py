@@ -12,9 +12,11 @@ denominator at most ``D`` either exhibits the root or certifies that the
 maximum is irrational.  The replayable divisor-quotient enumeration of the
 paper is kept as a :class:`CandidateTrace`, computed when it is read.
 
-A result holds the maximal root and the profile polynomial, and derives the
-threshold and its certificate from them when read; display refinement refines
-the root once, which bounds both emitted intervals (see :meth:`SlopeResult.refined`).
+A result holds the maximal root as isolation returns it, its interval
+already clear of 0 with a lower end that is no root, and the profile
+polynomial; it derives the threshold and its certificate from them when
+read.  Display refinement refines the root once, which bounds both emitted
+intervals (see :meth:`SlopeResult.refined`).
 """
 
 from fractions import Fraction
@@ -28,7 +30,6 @@ from .polyroot import (
     candidate_rows,
     cauchy_bound,
     chi_polynomial,
-    clear_lower_end,
     compare_with_rational,
     isolate_max_root,
     reciprocal,
@@ -96,8 +97,9 @@ class SlopeResult(Record):
     """Threshold of a pair: infinite, or finite with rationality certificate.
 
     A finite result holds the maximal real root ``max_root`` of the profile
-    polynomial ``chi``, with an isolating interval ``(lo, hi]`` whose ``lo``
-    is positive and not a root, and ``chi``; an infinite one holds neither.
+    polynomial ``chi``, as :func:`isolate_max_root` returns it: exact, or
+    with an isolating interval ``(lo, hi]`` whose ``lo`` is positive and not
+    a root.  It also holds ``chi``; an infinite one holds neither.
     The threshold ``slope`` (interval ``(1/hi, 1/lo]``), its rational value
     ``slope_fraction`` and the certificate ``rationality`` are derived when read.
     """
@@ -163,11 +165,11 @@ def slope(profile: IntersectionProfile) -> SlopeResult:
     """
     chi = chi_polynomial(profile)
     best = isolate_max_root(chi)
-    if best is None or compare_with_rational(best, 0) <= 0:
+    if best is None or best.interval[1] <= 0:  # hi is an exact root, else (lo, hi] keeps clear of 0
         return SlopeResult(None, None)
     if (exact := best.exact) is not None:  # the threshold is 1/exact, and exact > 0
         _check_divisibility(exact.denominator, exact.numerator, profile)
-    return SlopeResult(clear_lower_end(best), chi)
+    return SlopeResult(best, chi)
 
 
 def certify_rationality(profile: IntersectionProfile) -> RationalSlope | IrrationalSlope:

@@ -259,6 +259,18 @@ class TestGenCommand:
         assert main(["scan", "--input", "-"]) == code
         assert message in capsys.readouterr().err
 
+    def test_bound_past_64_bit_range_exits_2(self, capsys):
+        # One 64-bit draw spans 2 * bound + 1 values only up to bound = 2^63 - 1.
+        code, payload, err = run(capsys, ["gen", "--kind", "surface", "--seed", "1", "--bound", str(2**63)])
+        assert (code, payload) == (2, None)
+        assert err == "input error: bound: must be in [1, 9223372036854775807], got 9223372036854775808\n"
+        top = 2**63 - 1
+        code, payload, _ = run(capsys, ["gen", "--kind", "surface", "--seed", "1", "--count", "5", "--bound", str(top)])
+        assert code == 0
+        for entry in payload:
+            m2, lm, l2 = map(int, entry["v"])
+            assert 1 <= l2 <= top and -top <= lm <= top and -top <= m2 <= top
+
     def test_kinds_match_generators(self):
         # The parser spells the kinds out so that start-up does not import generators.
         from nefslope import generators

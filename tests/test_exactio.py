@@ -102,9 +102,20 @@ def test_integral_rationals_are_ints(text, value):
 
 
 def test_padding_past_the_limit_is_scanned_and_parsed():
-    # Longer than the limit, so int() is not tried first, yet only one digit.
+    # Longer than the limit, yet only one digit, which is all int() counts.
     text = " " * LIMIT + "5"
     assert parse_int(text, "f") == 5 and parse_rational(text, "f") == 5
+
+
+@pytest.mark.parametrize("sep", "\x1c\x1d\x1e\x1f")
+def test_information_separators_are_stripped(sep):
+    # str.strip drops U+001C..U+001F, which int() rejects and Fraction reads
+    # after a strip: both parsers keep accepting them as padding.
+    text = f"{sep}-5{sep}"
+    with pytest.raises(ValueError):
+        int(text, 10)
+    assert parse_int(text, "f") == -5 and parse_rational(text, "f") == -5
+    assert type(parse_rational(text, "f")) is int
 
 
 #: Malformed numbers, each with the error it gives as a profile entry ``v[1]``

@@ -127,8 +127,12 @@ class TestGenRandom:
             ({"count": -1}, "count: must be at least 0, got -1"),
             ({"n": 0}, "n: must be at least 1, got 0"),
             ({"bound": 0}, "bound: must be at least 1, got 0"),
+            ({"bound": 2**63}, "bound: must be in [1, 9223372036854775807], got 9223372036854775808"),
         ],
-        ids=["float-seed", "float-count", "string-n", "bool-bound", "negative-count", "zero-n", "zero-bound"],
+        ids=[
+            "float-seed", "float-count", "string-n", "bool-bound", "negative-count", "zero-n", "zero-bound",
+            "wide-bound",
+        ],
     )
     def test_bad_field_named(self, fields, message):
         with pytest.raises(InputError) as exc:

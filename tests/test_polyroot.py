@@ -683,6 +683,74 @@ class TestSympyOracle:
                 assert sturm_count(chain, lo, hi) == expected
 
 
+def _sympy_top(poly: sympy.Poly):
+    """The verdict on the largest real root of ``poly`` from sympy alone:
+    None without a real root, the root when it is rational, else "irrational"."""
+    if poly.count_roots() == 0:
+        return None
+    top = [r for r in poly.ground_roots() if poly.count_roots(r, None) == 1]
+    return Fraction(int(top[0].p), int(top[0].q)) if top else "irrational"
+
+
+class TestClusteredAndMultipleRoots:
+    """``isolate_max_root`` on root clusters and repeated roots, against sympy's
+    exact counts: the verdict and exact value, and for an irrational root an
+    interval clear of 0 whose ``lo`` is no root of ``h``, holding exactly one
+    root of ``h`` and none above it."""
+
+    @staticmethod
+    def check(expr) -> str:
+        poly = sympy.Poly(sympy.expand(expr), X)
+        root = isolate_max_root(P([int(c) for c in reversed(poly.all_coeffs())]))
+        verdict = _sympy_top(poly)
+        if root is None or root.exact is not None:
+            assert verdict == (None if root is None else root.exact), expr
+            return "none" if root is None else "exact"
+        assert verdict == "irrational", expr
+        h = sympy.Poly(list(reversed(root.minpoly_factor.coeffs)), X)
+        lo, hi = (sympy.Rational(x.numerator, x.denominator) for x in root.interval)
+        assert sympy.rem(poly, h).is_zero and h.eval(lo) != 0 and h.eval(hi) != 0, expr
+        assert h.count_roots(lo, hi) == 1 and h.count_roots(hi, None) == 0, expr
+        assert lo > 0 or hi < 0, expr
+        return "positive" if lo > 0 else "negative"
+
+    def test_mignotte_type(self):
+        # u^d - 2(a u - 1)^2 has two roots within about a^-(d+2)/2 of 1/a;
+        # its reversal puts that pair near a, as the largest roots.
+        seen = set()
+        for d in (3, 4, 5, 6, 8, 11):
+            for a in (3, 10, 100):
+                mignotte = X**d - 2 * (a * X - 1) ** 2
+                for expr in (mignotte, sympy.expand(X**d * mignotte.subs(X, 1 / X)), mignotte.subs(X, -X)):
+                    seen.add(self.check(expr))
+        assert seen == {"positive", "negative"}
+
+    def test_wilkinson_type(self):
+        # prod (u - k) and its square, their reflections, and Wilkinson's
+        # perturbation 2^23 prod (u - k) - u^(m - 1), whose top root is irrational.
+        seen = set()
+        for m in (5, 10, 20):
+            w = sympy.prod([X - k for k in range(1, m + 1)])
+            for expr in (w, w**2, w.subs(X, -X), w.subs(X, -X) ** 2, 2**23 * w - X ** (m - 1)):
+                seen.add(self.check(expr))
+        assert seen == {"exact", "positive"}
+
+    def test_squares_times_a_complex_pair(self):
+        # A real-rooted base squared, times a quadratic with complex roots;
+        # the constant base leaves the complex pair alone, with no real root.
+        # For (u - 1)(u^2 - 2) and (u - 2)(u^2 - 5), narrowing stops on an
+        # interval whose lo is the rational root, and only clearing moves it.
+        seen = set()
+        bases = (
+            1, X**2 - 2, X**3 - 3 * X + 1, (X - 1) * (X**2 - 2), (X - 1) * (X**2 - 5), (X - 2) * (X**2 - 5),
+            (2 * X - 3) * (X + 1), (X + 3) ** 2 - 2,
+        )
+        for base in bases:
+            for quad in (X**2 + 1, X**2 + X + 1, X**2 - 6 * X + 10):
+                seen.add(self.check(base**2 * quad))
+        assert seen == {"none", "exact", "positive", "negative"}
+
+
 def _heavy_surface(digits: int, rational: bool) -> IntersectionProfile:
     """A surface profile with entries of about ``digits`` digits, seeded by
     ``digits``.  A rational one has ``chi = (a u - b) (c u - d)`` with
@@ -940,6 +1008,7 @@ class _FractionBisection:
     def __init__(self):
         self.points = []
         self.decided_by_check = False
+        self.moved_by_clearing = False
 
     def sign(self, p: IntPolynomial, x: Fraction) -> int:
         self.points.append(x)
@@ -1010,7 +1079,8 @@ class _FractionBisection:
 
     def isolate_max_root(self, p: IntPolynomial) -> AlgebraicNumber | None:
         """Reference isolation from the Fujiwara bound on the reference chain,
-        reference refinement to ``1/(2 D^2)``, then the ``k/D`` check."""
+        reference refinement to ``1/(2 D^2)``, the ``k/D`` check, then the
+        reference ``clear_lower_end``."""
         chain = SimpleNamespace(polys=_reference_chain(p))
         h = chain.polys[0]
         top = self.isolate_topmost(chain, Fraction(2) ** polyroot._fujiwara_exponent(h.coeffs))
@@ -1025,7 +1095,9 @@ class _FractionBisection:
         if lo < k and self.sign(h, k) == 0:
             self.decided_by_check = True
             return AlgebraicNumber.from_rational(k)
-        return root
+        cleared = self.clear_lower_end(root)
+        self.moved_by_clearing = cleared != root
+        return cleared
 
     def reciprocal(self, a: AlgebraicNumber) -> AlgebraicNumber:
         a = self.clear_lower_end(a)
@@ -1103,8 +1175,9 @@ class TestFractionBisectionOracle:
         assert {"exact", "inexact", "cleared", "kept", "root at hi", (True, True, True)} <= seen
 
     def test_isolate_max_root_end_to_end(self, monkeypatch):
-        # Isolation, narrowing and the k/D check, against the reference
-        # pipeline: the same chain points, then the same signs of h, in order.
+        # Isolation, narrowing, the k/D check and the clearing, against the
+        # reference pipeline: the same chain points, then the same signs of h,
+        # in order.
         seen = set()
         for p in _seeded_polynomials(6007, 1200):
             if p.degree < 1:
@@ -1118,7 +1191,9 @@ class TestFractionBisectionOracle:
             assert root == expected, p
             seen.add("none" if root is None else "inexact" if root.exact is None else "exact")
             seen.add(ref.decided_by_check)
-        assert seen == {"none", "inexact", "exact", True, False}
+            if ref.moved_by_clearing:
+                seen.add("moved by clearing")
+        assert seen == {"none", "inexact", "exact", True, False, "moved by clearing"}
 
     def test_threshold_intervals(self, monkeypatch):
         for p in _seeded_polynomials(8009, 400):

@@ -8,14 +8,21 @@ import sympy
 
 from nefslope.errors import InputError, NegationIsNef, SlopeIsInfinite
 from nefslope.exactio import format_rational
-from nefslope.generators import GenSpec, SplitMix64, gen_random
+from nefslope.generators import GenSpec, SplitMix64, gen_product, gen_random
 from nefslope.numdata import (
     IntersectionProfile,
     binary_profile,
     is_proportional,
     profile_from_matrix,
 )
-from nefslope.polyroot import IntPolynomial, cauchy_bound, chi_polynomial, compare_with_rational, refine
+from nefslope.polyroot import (
+    IntPolynomial,
+    cauchy_bound,
+    chi_polynomial,
+    compare_with_rational,
+    isolate_max_root,
+    refine,
+)
 from nefslope.simplicity import INFINITE, IRRATIONAL, WITNESS, scan
 from nefslope.slope import (
     CandidateTrace,
@@ -118,6 +125,53 @@ class TestSlope:
         lo, hi = base.interval
         slo, shi = scaled.interval
         assert slo < hi / c and lo / c < shi  # intervals of s and s/c overlap
+
+
+class TestPencilIdentity:
+    """sigma(L, aL + bM) = sigma / (b + a sigma), through ``binary_profile``:
+    the roots mu of chi move to a + b mu, so for b > 0 the maximal root mu
+    becomes a + b mu and the threshold 1/mu becomes 1/(a + b mu)."""
+
+    WIDTH = Fraction(1, 2**80)
+
+    @staticmethod
+    def models():
+        for kind in ("product-matrix", "rational-matrix"):
+            for n in range(2, 7):
+                yield from gen_random(GenSpec(kind, seed=n, count=10, n=n, bound=3))
+        yield gen_product(2, ((0, 0), (0, -1)))  # mu = 0: -M nef, not ample
+        yield gen_product(2, ((-1, 0), (0, -2)))  # mu = -1
+
+    def test_on_matrix_models(self):
+        seen = set()
+        for model in self.models():
+            profile = profile_from_matrix(model)
+            result = slope(profile)
+            sigma = result.slope_fraction
+            if result.infinite:
+                mu = isolate_max_root(chi_polynomial(profile)).exact
+                assert mu is not None and mu <= 0  # rational on these models
+                seen.add("infinite at 0" if mu == 0 else "infinite below 0")
+            elif sigma is not None:
+                seen.add("rational")
+            else:
+                seen.add("irrational")
+                lo, hi = result.refined(self.WIDTH).slope.interval
+            for a in range(6):
+                for b in range(1, 6):
+                    image = slope(binary_profile(profile, a, b))
+                    if result.infinite:
+                        # mu = 0 gives 1/a, and infinite at a = 0.
+                        expected = None if a + b * mu <= 0 else 1 / Fraction(a + b * mu)
+                        assert image.infinite == (expected is None)
+                        assert image.slope_fraction == expected
+                    elif sigma is not None:
+                        assert image.slope_fraction == sigma / (b + a * sigma)
+                    else:
+                        assert not image.infinite and image.slope_fraction is None
+                        ilo, ihi = image.refined(self.WIDTH).slope.interval
+                        assert ilo < hi / (b + a * hi) and lo / (b + a * lo) < ihi
+        assert seen == {"rational", "irrational", "infinite at 0", "infinite below 0"}
 
 
 class TestRefined:
