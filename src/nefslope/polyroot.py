@@ -5,7 +5,9 @@ degree order, and all exact algebra stays in the integers.  One kernel on
 plain coefficient lists runs the signed primitive pseudo-remainder sequence
 (PRS) of ``f`` and ``f'``, scaling and dividing by positive factors only;
 every other sign is that of homogeneous integer Horner at a point
-``(a : b)``, ``b >= 0``, with +-infinity as ``(+-1 : 0)``.  The module provides:
+``(a : b)``, ``b >= 0``, with +-infinity as ``(+-1 : 0)``, and a Descartes
+count above ``(a : b)`` reads the signs of one integer Taylor shift there.
+The module provides:
 
 * ``chi_polynomial`` -- the degree-n integer polynomial of an intersection
   profile, whose maximal real root is the reciprocal of the nef threshold;
@@ -13,15 +15,19 @@ every other sign is that of homogeneous integer Horner at a point
   roots are ``V(-inf) - V(+inf)`` on its one PRS, read off the leads;
 * ``sturm_chain`` / ``sturm_count`` -- the PRS of the square-free part
   ``h = p / gcd(p, p')`` as records, and its root count on ``(lo, hi]``;
-* ``isolate_max_root`` -- the largest real root as an
-  :class:`AlgebraicNumber`, on one integer path: the PRS coefficient lists
-  of ``h``, its ``V(+-inf)`` read off their leads, Sturm bisection from the
-  power-of-two Fujiwara bound with no evaluation at its ends, narrowing to
-  ``1/(2 D^2)`` on the same shared-denominator ends ``(a, c, b)``, with
-  ``D = lead(h)``, and for an irrational root the clearing bisection of
-  ``clear_lower_end``; it enumerates no divisors, and one exact check at the
-  one point ``k/D`` its interval can hold decides rationality.  The
-  ``Fraction`` ends and the records are built once, for the cleared root;
+* ``top_root`` -- the decision on the largest real root, on one integer
+  path: the primitive part ``g``, bisected from the power-of-two Fujiwara
+  bound on Descartes counts, one integer Taylor shift per point
+  (Budan-Fourier; Collins-Akritas, 1976), narrowed to ``1/(2 D^2)`` on the
+  same shared-denominator ends ``(a, c, b)``, with ``D = lead(g)``, and for
+  an irrational root bisected until it keeps clear of 0 with ``lo`` no
+  root; it enumerates no divisors, and one exact check at the one point
+  ``k/D`` its interval can hold decides rationality.  The square-free part
+  and its Sturm search run only when the count stalls, at a multiple
+  maximum, a complex pair or a close cluster;
+* ``isolate_max_root`` -- that root as an :class:`AlgebraicNumber` on the
+  square-free part ``h``, built by :meth:`TopRoot.number` from the decision,
+  the interval the Sturm search on ``h`` gives;
 * ``refine`` / ``clear_lower_end`` -- narrowing that converts an interval
   to integer ends once each way; past 64 bits it runs quadratic interval
   refinement (QIR; Abbott, 2014), else it bisects;
@@ -624,9 +630,16 @@ def reciprocal(a: AlgebraicNumber) -> AlgebraicNumber:
     a = clear_lower_end(a)
     if a.exact is None and _scaled_value(a.minpoly_factor.coeffs, *_point(a.interval[1])) == 0:
         a = AlgebraicNumber.from_rational(a.interval[1])
+    if a.exact == 0:
+        raise ZeroDivisionError("reciprocal of zero")
+    return invert_cleared(a)
+
+
+def invert_cleared(a: AlgebraicNumber) -> AlgebraicNumber:
+    """The reciprocal of a number that is exact and nonzero, or whose interval
+    keeps clear of 0 with neither end a root, as :func:`isolate_max_root`
+    and :func:`refine` leave it: :func:`reciprocal` with no evaluation."""
     if a.exact is not None:
-        if a.exact == 0:
-            raise ZeroDivisionError("reciprocal of zero")
         return AlgebraicNumber.from_rational(1 / a.exact)
     lo, hi = a.interval
     rev = _primitive(list(reversed(a.minpoly_factor.coeffs)), 0)
@@ -655,36 +668,170 @@ def _isolate_topmost(seq: list[list[int]], a: int, c: int, b: int) -> tuple[int,
     return a // g, c // g, b // g
 
 
+def _roots_above(p: Sequence[int], a: int, b: int) -> tuple[int, int]:
+    """Descartes' count of the roots of the coefficients ``p`` above ``(a :
+    b)``, ``b > 0``, and ``b^d p(a/b)``: the sign variations and the constant
+    term of ``b^d p((a + y)/b)``, one integer Taylor shift by Horner's scheme.
+
+    The count bounds the real roots above ``a/b``, with multiplicity, and has
+    their parity, so 0 and 1 are exact; it is exact whenever every root is
+    real, and it never grows as the point does (Budan-Fourier).
+    """
+    d = len(p) - 1
+    q, scale = [], 1
+    for c in reversed(p):
+        q.append(c * scale)
+        scale *= b
+    if a:  # a shift by 0 keeps every coefficient
+        for i in range(d, 0, -1):
+            acc = q[0]
+            for j in range(1, i + 1):
+                acc = q[j] = q[j] + a * acc
+    signs = [x > 0 for x in q if x]
+    return sum(map(operator.ne, signs, signs[1:])), q[-1]
+
+
+#: Bisection steps the Descartes count at ``lo`` may stay unchanged at 2 or
+#: more before :func:`_descartes_topmost` stalls.  None of the 576 chi of the
+#: n = 4 and 5 matrix models at seeds 1 and 7919 stalls; separating a root
+#: cluster may take more steps, and the Sturm search then finishes it.
+_STALL_STEPS = 8
+
+
+def _descartes_topmost(p: list[int], a: int, c: int, b: int) -> tuple[int, int, int] | None:
+    """Shrink ``(a/b, c/b]``, which holds every complex root of ``p`` strictly
+    inside, around its largest real root by the rule of
+    :func:`_isolate_topmost`, on Descartes counts (:func:`_roots_above`).
+
+    The count above ``lo`` starts at ``deg p`` and that above ``hi`` at 0,
+    with no evaluation: every root lies in the open right half-plane of
+    ``lo`` and the left one of ``hi``.  A midpoint counting 0 becomes ``hi``,
+    or, if it is a root, the exact maximum ``(x, x, y)``; any other becomes
+    ``lo``.  A count of 1 at ``lo`` stops the search: one simple root lies
+    above ``lo`` and none above ``hi``, the interval in lowest terms.  When
+    every root of ``p`` is real and simple, each count is exact and the
+    search visits the points the Sturm search visits; complex roots can keep
+    it going past the Sturm search's stop.  A multiple or clustered maximum,
+    or a complex pair above it, can keep the count at ``lo`` at 2 or more:
+    after ``_STALL_STEPS`` steps without a change the search gives up and
+    returns None.
+    """
+    v_lo, steps = len(p) - 1, 0
+    while v_lo > 1:
+        mid, b = a + c, 2 * b
+        v, value = _roots_above(p, mid, b)
+        if v == 0:
+            if value == 0:
+                return mid, mid, b
+            a, c = 2 * a, mid
+        else:
+            a, c = mid, 2 * c
+            if v < v_lo:
+                v_lo, steps = v, 0
+        steps += 1
+        if steps == _STALL_STEPS:
+            return None
+    g = gcd(a, c, b)
+    return a // g, c // g, b // g
+
+
+class TopRoot(Record):
+    """The largest real root of an integer polynomial as :func:`top_root`
+    decides it: a root of ``poly``, the polynomial's primitive part or its
+    square-free part, with a positive lead, in ``(a/b, c/b]`` for the
+    integer ``ends`` ``(a, c, b)``.  When ``a == c`` the root is ``c/b``,
+    exactly; otherwise it is irrational, the interval keeps clear of 0 and
+    ``a/b`` is no root of ``poly``."""
+
+    _fields = ("poly", "ends")
+
+    @property
+    def exact(self) -> Fraction | None:
+        a, c, b = self.ends
+        return Fraction(c, b) if a == c else None
+
+    def number(self, p: IntPolynomial) -> AlgebraicNumber:
+        """The root as :func:`isolate_max_root` returns it for ``p``, whose
+        maximal root this is: ``from_rational`` for an exact root; else on the
+        square-free part ``h`` of ``p``.  When ``poly`` is ``h`` and every root
+        of ``h`` is real (``V(-inf) - V(+inf) = deg h`` on its PRS), each
+        Descartes count was exact, so the search visited the Sturm search's
+        points and the ends are reused; otherwise the Sturm search on ``h``
+        runs again."""
+        if (exact := self.exact) is not None:
+            return AlgebraicNumber.from_rational(exact)
+        top, seq = self, _square_free_prs(p.coeffs)
+        if list(self.poly) != seq[0] or operator.sub(*_end_variations(seq)) != len(seq[0]) - 1:
+            top = _top_root(seq[0], seq)
+        a, c, b = top.ends
+        return AlgebraicNumber(IntPolynomial(top.poly), (Fraction(a, b), Fraction(c, b)))
+
+
+def _top_root(f: list[int], seq: list[list[int]] | None = None) -> TopRoot | None:
+    """:func:`top_root` on a primitive ``f`` with a positive lead; ``seq`` is
+    None, or the Sturm sequence of ``f``, which is then square-free.
+
+    The search runs from ``(-B, B]``, ``B = 2^e`` the Fujiwara bound of
+    ``f``: on Descartes counts without ``seq``, else on the chain.  A stalled
+    Descartes search builds the PRS of the square-free part ``h``, and the
+    Sturm search on ``h`` decides, from the Fujiwara bound of ``h``.  The root
+    is then narrowed by :func:`_bisect` to ``1/(2 D^2)``, ``D = lead(f)``, on
+    integer ends ``(a, c, b)``.  A rational root of ``f`` is ``k/D`` for an
+    integer ``k``, and the narrowed ``(lo, hi]`` holds at most one such
+    point, ``k = floor(D hi)``; one exact evaluation decides it.  An
+    irrational root is bisected on the same triple until its interval keeps
+    clear of 0 (``lo > 0`` or ``hi < 0``) with ``lo`` no root of ``f``.
+    """
+    e = _fujiwara_exponent(f)
+    ends = (-1 << e, 1 << e, 1) if e >= 0 else (-1, 1, 1 << -e)
+    top = _descartes_topmost(f, *ends) if seq is None else None
+    if top is None:
+        if seq is None:
+            seq = _square_free_prs(f)
+            if seq[0] != f:
+                return _top_root(seq[0], seq)
+        top = _isolate_topmost(seq, *ends)
+        if top is None:
+            return None
+    a, c, b = top
+    if a != c:
+        denom = f[-1]
+        a, c, b = _bisect(f, a, c, b, (1, 2 * denom * denom))
+        # The test a/b < k/D matters when the root is irrational: k/D may then
+        # be another root of f, below the maximum.
+        if a != c and a * denom < (k := denom * c // b) * b and _scaled_value(f, k, denom) == 0:
+            a, c, b = k, k, denom
+        elif a != c:
+            a, c, b = _bisect(f, a, c, b)  # clear of 0; the root is irrational, so no midpoint is a root
+    return TopRoot(tuple(f), (a, c, b))
+
+
+def top_root(p: IntPolynomial) -> TopRoot | None:
+    """The decision on the largest real root of ``p``: exact, or irrational
+    with an isolating interval; None if ``p`` has no real root.
+
+    It runs on the primitive part ``g`` of ``p`` and builds the square-free
+    part only when the Descartes search stalls (see :func:`_top_root`), so
+    reading whether the root is rational, and its value, costs no PRS.
+    """
+    if p.degree < 1:
+        raise ValueError("top_root requires a nonzero polynomial of degree >= 1")
+    return _top_root(_primitive(list(p.coeffs), 0))
+
+
 def isolate_max_root(p: IntPolynomial) -> AlgebraicNumber | None:
     """The largest real root of ``p``, or None if ``p`` has no real root.
 
-    The root is isolated on the square-free part ``h`` by Sturm bisection
-    from ``(-B, B]``, ``B = 2^e`` the Fujiwara bound of ``h``, and narrowed by
-    :func:`_bisect` to ``1/(2 D^2)``, ``D = lead(h)``, all on integer ends
-    ``(a, c, b)``.  A rational root of ``h`` is ``k/D`` for an integer ``k``,
-    and the narrowed ``(lo, hi]`` holds at most one such point, ``k = floor(D
-    hi)``; one exact evaluation decides it.  An irrational root is bisected on
-    the same triple until its interval is the one :func:`clear_lower_end`
-    gives: clear of 0 (``lo > 0`` or ``hi < 0``), with ``lo`` not a root of
-    ``h``.
+    The decision is :func:`top_root`'s, and the number is built by
+    :meth:`TopRoot.number`: exact, or an interval ``(lo, hi]`` around a root
+    of the square-free part ``h``, clear of 0, with ``lo`` no root of ``h``,
+    the interval the Sturm search on ``h`` from its Fujiwara bound gives
+    after narrowing to ``1/(2 lead(h)^2)`` and clearing.
     """
     if p.degree < 1:
         raise ValueError("isolate_max_root requires a nonzero polynomial of degree >= 1")
-    seq = _square_free_prs(p.coeffs)
-    h, e = seq[0], _fujiwara_exponent(seq[0])
-    top = _isolate_topmost(seq, *((-1 << e, 1 << e, 1) if e >= 0 else (-1, 1, 1 << -e)))
-    if top is None:
-        return None
-    denom = h[-1]
-    a, c, b = _bisect(h, *top, (1, 2 * denom * denom))
-    # The test a/b < k/D matters when the root is irrational: k/D may then be
-    # another root of h, below the maximum.
-    if a != c and a * denom < (k := denom * c // b) * b and _scaled_value(h, k, denom) == 0:
-        a, c, b = k, k, denom
-    if a == c:
-        return AlgebraicNumber.from_rational(Fraction(c, b))
-    a, c, b = _bisect(h, a, c, b)  # clear of 0; the root is irrational, so no midpoint is a root
-    return AlgebraicNumber(IntPolynomial(tuple(h)), (Fraction(a, b), Fraction(c, b)))
+    top = top_root(p)
+    return None if top is None else top.number(p)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,19 @@ infinite (represented explicitly, never as a large number).
 
 Rationality of a finite threshold is a decided property: a rational
 maximal root has a denominator dividing the leading coefficient ``D`` of the
-square-free part, so one exact check at the nearest fraction with
-denominator at most ``D`` either exhibits the root or certifies that the
-maximum is irrational.  The replayable divisor-quotient enumeration of the
-paper is kept as a :class:`CandidateTrace`, computed when it is read.
+primitive profile polynomial, so one exact check at the nearest fraction
+with denominator at most ``D`` either exhibits the root or certifies that
+the maximum is irrational.  The replayable divisor-quotient enumeration of
+the paper is kept as a :class:`CandidateTrace`, computed when it is read.
 
-A result holds the maximal root as isolation returns it, its interval
-already clear of 0 with a lower end that is no root, and the profile
-polynomial; it derives the threshold and its certificate from them when
-read.  Display refinement refines the root once, which bounds both emitted
-intervals (see :meth:`SlopeResult.refined`).
+A result holds the decision on the maximal root, a :class:`TopRoot` from
+the Descartes search (exact, or irrational with integer ends clear of 0),
+and the profile polynomial.  Whether the threshold is rational, and its
+value, read the decision alone, so ``scan`` builds nothing more.  The root
+as an :class:`AlgebraicNumber` on the square-free part, the threshold
+interval and the certificate are built from them when read.  Display
+refinement refines the root once, which bounds both emitted intervals (see
+:meth:`SlopeResult.refined`).
 """
 
 from fractions import Fraction
@@ -27,13 +30,14 @@ from .exactio import Record, format_int, format_ratio
 from .numdata import IntersectionProfile
 from .polyroot import (
     AlgebraicNumber,
+    TopRoot,
     candidate_rows,
     cauchy_bound,
     chi_polynomial,
     compare_with_rational,
-    isolate_max_root,
-    reciprocal,
+    invert_cleared,
     refine,
+    top_root,
 )
 
 
@@ -96,27 +100,36 @@ class IrrationalSlope(Record):
 class SlopeResult(Record):
     """Threshold of a pair: infinite, or finite with rationality certificate.
 
-    A finite result holds the maximal real root ``max_root`` of the profile
-    polynomial ``chi``, as :func:`isolate_max_root` returns it: exact, or
-    with an isolating interval ``(lo, hi]`` whose ``lo`` is positive and not
-    a root.  It also holds ``chi``; an infinite one holds neither.
-    The threshold ``slope`` (interval ``(1/hi, 1/lo]``), its rational value
-    ``slope_fraction`` and the certificate ``rationality`` are derived when read.
+    ``root`` is None for an infinite threshold.  For a finite one it is the
+    decision :func:`slope` stores, a :class:`TopRoot` on the maximal real
+    root of the profile polynomial ``chi``, or an :class:`AlgebraicNumber`
+    for that root, as :meth:`refined` stores it; an infinite result holds no
+    ``chi``.  The threshold's rational value ``slope_fraction`` reads the
+    decision alone.  ``max_root``, the root as :func:`isolate_max_root`
+    returns it (exact, or with an isolating interval ``(lo, hi]`` whose ends
+    are positive and no roots), is built from the decision when read, and
+    with it the square-free part of ``chi``; so are the threshold ``slope``
+    (interval ``(1/hi, 1/lo]``) and the certificate ``rationality``.
     """
 
-    _fields = ("max_root", "chi")
+    _fields = ("root", "chi")
 
     @property
     def infinite(self) -> bool:
-        return self.max_root is None
+        return self.root is None
+
+    @cached_property
+    def max_root(self) -> AlgebraicNumber | None:
+        root = self.root
+        return root.number(self.chi) if isinstance(root, TopRoot) else root
 
     @cached_property
     def slope(self) -> AlgebraicNumber | None:
-        return None if self.infinite else reciprocal(self.max_root)
+        return None if self.infinite else invert_cleared(self.max_root)
 
     @property
     def slope_fraction(self) -> Fraction | None:
-        exact = None if self.infinite else self.max_root.exact
+        exact = None if self.infinite else self.root.exact
         return None if exact is None else 1 / exact
 
     @cached_property
@@ -131,10 +144,11 @@ class SlopeResult(Record):
         the threshold interval is ``(hi - lo) / (lo hi)`` wide and refinement
         only raises ``lo``, so the root is refined to ``width * min(1, lo^2)``.
         """
-        if self.infinite or self.max_root.exact is not None:
+        if self.infinite or self.root.exact is not None:
             return self
-        lo = self.max_root.interval[0]
-        return SlopeResult(refine(self.max_root, width * min(1, lo * lo)), self.chi)
+        root = self.max_root
+        lo = root.interval[0]
+        return SlopeResult(refine(root, width * min(1, lo * lo)), self.chi)
 
     def to_json(self) -> dict:
         if self.infinite:
@@ -164,12 +178,12 @@ def slope(profile: IntersectionProfile) -> SlopeResult:
     is non-positive or absent, zero included.
     """
     chi = chi_polynomial(profile)
-    best = isolate_max_root(chi)
-    if best is None or best.interval[1] <= 0:  # hi is an exact root, else (lo, hi] keeps clear of 0
+    top = top_root(chi)
+    if top is None or top.ends[1] <= 0:  # c/b is an exact root, else (a/b, c/b] keeps clear of 0
         return SlopeResult(None, None)
-    if (exact := best.exact) is not None:  # the threshold is 1/exact, and exact > 0
+    if (exact := top.exact) is not None:  # the threshold is 1/exact, and exact > 0
         _check_divisibility(exact.denominator, exact.numerator, profile)
-    return SlopeResult(best, chi)
+    return SlopeResult(top, chi)
 
 
 def certify_rationality(profile: IntersectionProfile) -> RationalSlope | IrrationalSlope:

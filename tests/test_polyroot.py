@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from nefslope import polyroot
 from nefslope.errors import InputError
 from nefslope.generators import GenSpec, SplitMix64, gen_random
-from nefslope.numdata import IntersectionProfile, ValidationLevel, profile_from_matrix, validate
+from nefslope.numdata import IntersectionProfile, ValidationLevel, binary_profile, profile_from_matrix, validate
 from nefslope.polyroot import (
     NEG_INF,
     POS_INF,
@@ -277,10 +277,12 @@ def _recording(fn, limit, points=None):
 
 
 def _recording_kernels(monkeypatch, limit, points):
-    """Patch both sign kernels to list their points in ``points`` as
-    :func:`_recording` does: each chain evaluation (``_variations``) once,
-    not once per member, and each other sign (``_scaled_value``)."""
+    """Patch the three point kernels to list their points in ``points`` as
+    :func:`_recording` does: each Descartes count (``_roots_above``) and each
+    chain evaluation (``_variations``) once, not once per member, and each
+    other sign (``_scaled_value``)."""
     variations, scaled_value, in_chain = polyroot._variations, polyroot._scaled_value, []
+    monkeypatch.setattr(polyroot, "_roots_above", _recording(polyroot._roots_above, limit, points))
 
     def chain(seq, a, b):
         in_chain.append(True)
@@ -598,9 +600,11 @@ class TestIsolateMaxRoot:
         "p,limit", [(from_roots([1, 2, 3, 4, 5, 6]), 7), (P([-2, 0, 1]), 1)], ids=["six-roots", "sqrt2"]
     )
     def test_chain_evaluated_once_per_bisection(self, monkeypatch, p, limit):
-        # Both ends' variation counts are carried along, and those of the
-        # starting interval are read off the leads, with no evaluation.
-        monkeypatch.setattr(polyroot, "_variations", _recording(polyroot._variations, limit))
+        # The Descartes count runs once per bisection step: both ends' counts
+        # are carried along, and those of the starting interval, deg p and 0,
+        # need no evaluation.  No Sturm chain is evaluated.
+        monkeypatch.setattr(polyroot, "_roots_above", _recording(polyroot._roots_above, limit))
+        monkeypatch.setattr(polyroot, "_variations", _recording(polyroot._variations, 0))
         root = isolate_max_root(p)
         assert root.exact == 6 or in_interval_surd(*root.interval, Fraction(0), Fraction(1), 2)
 
@@ -621,6 +625,101 @@ class TestIsolateMaxRoot:
         lo, hi = root.interval
         assert sturm_count(chain, lo, hi) == 1
         assert sturm_count(chain, hi, POS_INF) == 0
+
+
+class TestDescartesCount:
+    """``_roots_above``, the Descartes count of the roots above a point, and
+    the search on it, ``_descartes_topmost``."""
+
+    @staticmethod
+    def grid(roots):
+        """The dyadic points k/4 from below the least root to above the
+        largest, and a point 1/8 above each root."""
+        return [(k, 4) for k in range(4 * min(roots) - 6, 4 * max(roots) + 7)] + [(8 * r + 1, 8) for r in roots]
+
+    @pytest.mark.parametrize(
+        "roots", [[0], [3], [-5, 2], [1, 2, 3, 4, 5, 6], [-7, -1, 0, 4, 9], [-3, 5, 6, 11, 12, 13, 20]]
+    )
+    @pytest.mark.parametrize("lead", [1, 3])
+    def test_equals_sturm_count_on_real_roots(self, roots, lead):
+        # Every root real and simple: the count above each grid point is the
+        # Sturm count on (x, +inf], and the value is b^d p(a/b).
+        p = from_roots(roots, lead)
+        chain = sturm_chain(p)
+        for a, b in self.grid(roots):
+            x = Fraction(a, b)
+            count, value = polyroot._roots_above(p.coeffs, a, b)
+            assert count == sturm_count(chain, x, POS_INF) == sum(r > x for r in roots), (roots, x)
+            assert value == polyroot._scaled_value(p.coeffs, a, b)
+
+    @pytest.mark.parametrize("roots", [[2, 2], [1, 1, 1, -3], [-2, -2, 0, 0, 0, 5, 5]])
+    def test_counts_repeated_roots_with_multiplicity(self, roots):
+        p = from_roots(roots)
+        for a, b in self.grid(roots):
+            assert polyroot._roots_above(p.coeffs, a, b)[0] == sum(r > Fraction(a, b) for r in roots), roots
+
+    def test_never_increases_and_keeps_the_parity(self):
+        # With complex roots the count only bounds the real roots above the
+        # point, but it keeps their parity (odd exactly where g < 0, g having
+        # a positive lead), is deg g at -B and 0 at B, and never increases
+        # along a grid across (-B, B] (Budan-Fourier): so the count at lo
+        # can drop at most deg g times, and the stall rule ends a search.
+        seen = set()
+        for p in _seeded_polynomials(5003, 300):
+            if p.degree < 1:
+                continue
+            g = polyroot._primitive(list(p.coeffs), 0)
+            e = polyroot._fujiwara_exponent(g)
+            chain = sturm_chain(p)
+            counts = []
+            for k in range(-32, 33):
+                a, b = (k << (e - 5), 1) if e >= 5 else (k, 1 << (5 - e))
+                count, value = polyroot._roots_above(g, a, b)
+                distinct = sturm_count(chain, Fraction(a, b), POS_INF)
+                assert count >= distinct, p
+                if value:
+                    assert count % 2 == (value < 0), p
+                seen.add("exact" if count == distinct else "complex roots")
+                counts.append(count)
+            assert counts[0] == p.degree and counts[-1] == 0, p
+            assert counts == sorted(counts, reverse=True), p
+        assert seen == {"exact", "complex roots"}
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            P([1, 0, 1]),  # no real root
+            _mul(P([-1, 3]), P([-1, 3])),  # a double maximum 1/3, off the dyadic grid
+            _mul(P([-2, 0, 1]), P([-2, 0, 1])),  # a double irrational maximum
+            _mul(P([1, -1]), P([5, -4, 1])),  # the complex pair 2 +- i above the root 1
+        ],
+        ids=["no-real-root", "double-third", "double-sqrt2", "pair-above"],
+    )
+    def test_stalls_within_its_step_budget(self, monkeypatch, p):
+        # The count at lo stays at 2 or more: the search gives up after
+        # _STALL_STEPS steps per value that count takes, and top_root still
+        # decides as sympy does.
+        g = polyroot._primitive(list(p.coeffs), 0)
+        e = polyroot._fujiwara_exponent(g)
+        limit = (p.degree + 1) * polyroot._STALL_STEPS
+        with monkeypatch.context() as m:
+            m.setattr(polyroot, "_roots_above", _recording(polyroot._roots_above, limit))
+            assert polyroot._descartes_topmost(g, -1 << e, 1 << e, 1) is None
+        top = polyroot.top_root(p)
+        verdict = _sympy_top(sympy.Poly(list(reversed(p.coeffs)), X))
+        assert (None if top is None else "irrational" if top.exact is None else top.exact) == verdict
+
+    def test_exact_maximum_at_a_midpoint(self, monkeypatch):
+        # (u - 6)^3 (u + 1): the count at lo stays at 3 until the midpoint 6
+        # counts 0 and is a root, which is the maximum, exactly.
+        p = _mul(from_roots([6, 6, 6]), P([1, 1]))
+        g = list(p.coeffs)
+        e = polyroot._fujiwara_exponent(g)
+        with monkeypatch.context() as m:
+            m.setattr(polyroot, "_square_free_prs", _recording(polyroot._square_free_prs, 0))
+            x, y, b = polyroot._descartes_topmost(g, -1 << e, 1 << e, 1)
+            assert x == y and Fraction(y, b) == 6
+            assert polyroot.top_root(p).exact == 6
 
 
 class TestSympyOracle:
@@ -751,6 +850,53 @@ class TestClusteredAndMultipleRoots:
         assert seen == {"none", "exact", "positive", "negative"}
 
 
+def _clustered_families():
+    """The inputs of :class:`TestClusteredAndMultipleRoots`."""
+    for d in (3, 4, 5, 6, 8, 11):
+        for a in (3, 10, 100):
+            mignotte = X**d - 2 * (a * X - 1) ** 2
+            yield from (mignotte, sympy.expand(X**d * mignotte.subs(X, 1 / X)), mignotte.subs(X, -X))
+    for m in (5, 10, 20):
+        w = sympy.prod([X - k for k in range(1, m + 1)])
+        yield from (w, w**2, w.subs(X, -X), w.subs(X, -X) ** 2, 2**23 * w - X ** (m - 1))
+    bases = (
+        1, X**2 - 2, X**3 - 3 * X + 1, (X - 1) * (X**2 - 2), (X - 1) * (X**2 - 5), (X - 2) * (X**2 - 5),
+        (2 * X - 3) * (X + 1), (X + 3) ** 2 - 2,
+    )
+    for base in bases:
+        for quad in (X**2 + 1, X**2 + X + 1, X**2 - 6 * X + 10):
+            yield base**2 * quad
+
+
+class TestTopRootDecision:
+    """``top_root``, the decision ``slope`` keeps, against sympy and against
+    the Sturm search on the square-free part h, the decision before the
+    Descartes search, on Mignotte-type polynomials, Wilkinson-type products,
+    their squares and squares times a complex pair."""
+
+    def test_decisions(self, monkeypatch):
+        seen, searches = set(), []
+        descartes = polyroot._descartes_topmost
+        monkeypatch.setattr(polyroot, "_descartes_topmost", lambda *args: searches.append(r := descartes(*args)) or r)
+        for expr in _clustered_families():
+            poly = sympy.Poly(sympy.expand(expr), X)
+            p = P([int(c) for c in reversed(poly.all_coeffs())])
+            searches.clear()
+            top = polyroot.top_root(p)
+            stalled = searches[0] is None
+            seq = polyroot._square_free_prs(p.coeffs)
+            sturm = polyroot._top_root(seq[0], seq)
+            decision = [None if t is None else t.exact if t.exact is not None else t.ends[1] > 0 for t in (top, sturm)]
+            assert decision[0] == decision[1], expr
+            verdict = _sympy_top(poly)
+            assert decision[0] == verdict if verdict != "irrational" else decision[0] in (True, False), expr
+            if stalled:
+                seen.add("stall, h != g" if seq[0] != polyroot._primitive(list(p.coeffs), 0) else "stall, h = g")
+            else:
+                seen.add("no stall")
+        assert seen == {"stall, h != g", "stall, h = g", "no stall"}
+
+
 def _heavy_surface(digits: int, rational: bool) -> IntersectionProfile:
     """A surface profile with entries of about ``digits`` digits, seeded by
     ``digits``.  A rational one has ``chi = (a u - b) (c u - d)`` with
@@ -822,6 +968,52 @@ class TestHeavyInputs:
         check(shown, Fraction(1, 2**64) * min(1, shown.interval[0] ** 2))
         if kind == "surface":
             check(refine(root, Fraction(1, 2**4096)), Fraction(1, 2**4096))
+
+
+class TestHeavyDescartes:
+    """``slope()`` at product-matrix n = 32 and 64 (seed 1), where the Sturm
+    chain took 12 ms and 0.7 s, against sympy's continued-fraction isolation
+    ``Poly.intervals()``; and the pencil identity at n = 32."""
+
+    WIDTH = Fraction(1, 2**80)
+
+    @staticmethod
+    def profile(n):
+        return profile_from_matrix(gen_random(GenSpec("product-matrix", seed=1, count=1, n=n))[0])
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_against_sympy_intervals(self, monkeypatch, n):
+        profile = self.profile(n)
+        g = polyroot._primitive(list(chi_polynomial(profile).coeffs), 0)
+        with monkeypatch.context() as m:
+            m.setattr(polyroot, "_square_free_prs", _recording(polyroot._square_free_prs, 0))
+            result = slope(profile)
+        assert "max_root" not in vars(result) and result.root.poly == tuple(g)
+        a, c, b = result.root.ends
+        assert 0 < a < c and result.root.exact is None and result.slope_fraction is None
+        poly = sympy.Poly(list(reversed(g)), X)
+        lo, hi = sympy.Rational(a, b), sympy.Rational(c, b)
+        # One simple root of g above lo, none above hi, and it is irrational:
+        # a rational root of g is k/D, and (lo, hi] can hold only k = floor(D hi).
+        (above,) = poly.intervals(inf=lo)
+        assert above[1] == 1 and poly.intervals(inf=hi) == []
+        (s, t), multiplicity = poly.intervals()[-1]
+        assert multiplicity == 1 and s < hi and lo < t
+        k, denom = g[-1] * c // b, g[-1]
+        assert 2 * denom * denom * (c - a) <= b
+        assert sympy.Rational(k, denom) <= lo or poly.eval(sympy.Rational(k, denom)) != 0
+
+    def test_pencil_identity_at_n32(self):
+        # sigma(L, aL + bM) = sigma / (b + a sigma), for an irrational sigma.
+        profile = self.profile(32)
+        result = slope(profile)
+        assert result.slope_fraction is None
+        lo, hi = result.refined(self.WIDTH).slope.interval
+        for a, b in ((0, 2), (1, 1), (3, 2)):
+            image = slope(binary_profile(profile, a, b))
+            assert not image.infinite and image.slope_fraction is None
+            ilo, ihi = image.refined(self.WIDTH).slope.interval
+            assert ilo < hi / (b + a * hi) and lo / (b + a * lo) < ihi
 
 
 class TestRefine:
@@ -1176,24 +1368,45 @@ class TestFractionBisectionOracle:
 
     def test_isolate_max_root_end_to_end(self, monkeypatch):
         # Isolation, narrowing, the k/D check and the clearing, against the
-        # reference pipeline: the same chain points, then the same signs of h,
-        # in order.
+        # Sturm reference pipeline on the square-free part h, with the
+        # Descartes counts listed where the reference evaluates the chain.
+        # When the primitive part g of p is h, every root of h is real and the
+        # Descartes search does not stall, each count is exact: the search
+        # visits the reference's points, then the same signs of h, in order,
+        # or stops at a midpoint that is the exact maximum, after a prefix of
+        # them.  Otherwise an irrational maximum ends on the reference's
+        # points, as the number is built again by the Sturm search on h.
         seen = set()
         for p in _seeded_polynomials(6007, 1200):
             if p.degree < 1:
                 continue
-            ref, points = _FractionBisection(), []
+            ref, points, searches = _FractionBisection(), [], []
             expected = ref.isolate_max_root(p)
+            descartes = polyroot._descartes_topmost
             with monkeypatch.context() as m:
-                _recording_kernels(m, len(ref.points), points)
+                _recording_kernels(m, 2 * len(ref.points) + 2 * polyroot._STALL_STEPS + 200, points)
+                m.setattr(polyroot, "_descartes_topmost", lambda *args: searches.append(r := descartes(*args)) or r)
                 root = isolate_max_root(p)
-            assert points == ref.points, p
             assert root == expected, p
+            h = sturm_chain(p).polys[0]
+            square_free = P(polyroot._primitive(list(p.coeffs), 0)) == h
+            real_rooted = sturm_count(sturm_chain(p), NEG_INF, POS_INF) == h.degree
+            if square_free and real_rooted and searches[0] is not None:
+                exact_at_midpoint = points != ref.points
+                assert not exact_at_midpoint or (root.exact == points[-1] and points == ref.points[: len(points)]), p
+                seen.add("exact at a midpoint" if exact_at_midpoint else "same points")
+            else:
+                seen.add("stalled" if searches[0] is None else "complex roots" if square_free else "g != h")
+                if root is not None and root.exact is None:
+                    assert points[-len(ref.points):] == ref.points, p
             seen.add("none" if root is None else "inexact" if root.exact is None else "exact")
             seen.add(ref.decided_by_check)
             if ref.moved_by_clearing:
                 seen.add("moved by clearing")
-        assert seen == {"none", "inexact", "exact", True, False, "moved by clearing"}
+        assert seen == {
+            "none", "inexact", "exact", True, False, "moved by clearing",
+            "same points", "exact at a midpoint", "stalled", "complex roots", "g != h",
+        }
 
     def test_threshold_intervals(self, monkeypatch):
         for p in _seeded_polynomials(8009, 400):

@@ -17,7 +17,7 @@ from nefslope.numdata import (
     charpoly,
     profile_from_matrix,
 )
-from nefslope.polyroot import AlgebraicNumber, IntPolynomial, SturmChain, chi_polynomial
+from nefslope.polyroot import AlgebraicNumber, IntPolynomial, SturmChain, TopRoot, chi_polynomial
 from nefslope.simplicity import (
     IRRATIONAL,
     NefReport,
@@ -38,6 +38,7 @@ RECORDS = [
     IntPolynomial((1, 2)),
     SturmChain((IntPolynomial((1,)),)),
     AlgebraicNumber.from_rational(Fraction(1, 2)),
+    TopRoot((-3, 0, 2), (4, 5, 4)),
     IntersectionProfile(2, (1, 2, 3)),
     SymMatrixModel(1, ((1,),), 1),
     Violation("hodge-index", "message"),
@@ -124,16 +125,17 @@ def test_gen_spec_keywords_and_defaults_match_positions():
 def test_repr_names_the_fields():
     assert repr(IntPolynomial((1, 2))) == "IntPolynomial(coeffs=(1, 2))"
     assert repr(Violation("c", "m")) == "Violation(check='c', message='m')"
-    assert repr(SlopeResult(None, None)) == "SlopeResult(max_root=None, chi=None)"
+    assert repr(SlopeResult(None, None)) == "SlopeResult(root=None, chi=None)"
     assert repr(GenSpec("surface", 1, 2)) == "GenSpec(kind='surface', seed=1, count=2, n=2, bound=10)"
 
 
 def test_filled_cached_properties_leave_equality_and_hash():
     result = slope(IntersectionProfile(2, (-1, 1, 2)))
-    twin = SlopeResult(result.max_root, result.chi)
+    twin = SlopeResult(result.root, result.chi)
     before = hash(result), repr(result)
     assert result.slope is not None and result.rationality is not None
-    assert {"slope", "rationality"} <= set(vars(result)) and not {"slope", "rationality"} & set(vars(twin))
+    cached = {"max_root", "slope", "rationality"}
+    assert cached <= set(vars(result)) and not cached & set(vars(twin))
     assert result == twin and (hash(result), repr(result)) == before == (hash(twin), repr(twin))
 
     trace = CandidateTrace(chi_polynomial(IntersectionProfile(2, (1, 4, 2))))

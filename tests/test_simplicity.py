@@ -2,11 +2,12 @@
 
 import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy
 
-from nefslope import simplicity
+from nefslope import polyroot, simplicity
 from nefslope.errors import AsymmetricInput, InconsistentContext, InputError
 from nefslope.generators import GenSpec, SplitMix64, gen_product, gen_random
 from nefslope.numdata import IntersectionProfile, SymMatrixModel, profile_from_matrix
@@ -282,3 +283,31 @@ class TestScanAgainstSympy:
         # Rational-matrix spectra give rational thresholds; the product-matrix
         # draws at these sizes all have irrational ones.
         assert seen == {WITNESS if kind == "rational-matrix" else IRRATIONAL}
+
+    @pytest.mark.parametrize(
+        "spectrum", [(Fraction(1, 3), Fraction(1, 3), -1), (7, 7, 2, -3), (Fraction(5, 2),) * 3 + (1,)]
+    )
+    def test_repeated_top_eigenvalue(self, monkeypatch, spectrum):
+        # diag(spectrum), its top eigenvalue repeated, rotated by (3/5, 4/5)
+        # in the plane of its first and last coordinates into a rational
+        # matrix.  The Descartes count stalls at 1/3, off the dyadic grid,
+        # and the exact midpoints 7 and 5/2 end the search at once; each
+        # verdict is sympy's.
+        n = len(spectrum)
+        rotation = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        rotation[0][0] = rotation[-1][-1] = Fraction(3, 5)
+        rotation[0][-1], rotation[-1][0] = Fraction(-4, 5), Fraction(4, 5)
+        entries = tuple(
+            tuple(sum(rotation[i][k] * spectrum[k] * rotation[j][k] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+        assert any(entries[0][1:])
+        profile = profile_from_matrix(SymMatrixModel(n, entries, 900**n * factorial(n)))
+        searches = []
+        descartes = polyroot._descartes_topmost
+        monkeypatch.setattr(polyroot, "_descartes_topmost", lambda *args: searches.append(r := descartes(*args)) or r)
+        (entry,) = scan([("repeated", profile)]).entries
+        chi = sympy.Poly(list(reversed(chi_polynomial(profile).coeffs)), sympy.Symbol("u"))
+        assert (entry.verdict, entry.slope_fraction) == _sympy_scan_verdict(chi) == (WITNESS, 1 / Fraction(spectrum[0]))
+        assert entry.boundary_report.nef and not entry.boundary_report.ample
+        assert searches[0] is None if spectrum[0] == Fraction(1, 3) else searches[0][0] == searches[0][1]

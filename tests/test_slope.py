@@ -15,12 +15,15 @@ from nefslope.numdata import (
     is_proportional,
     profile_from_matrix,
 )
+from nefslope import polyroot
 from nefslope.polyroot import (
+    AlgebraicNumber,
     IntPolynomial,
     cauchy_bound,
     chi_polynomial,
     compare_with_rational,
     isolate_max_root,
+    reciprocal,
     refine,
 )
 from nefslope.simplicity import INFINITE, IRRATIONAL, WITNESS, scan
@@ -334,6 +337,40 @@ class TestCertificateWhenRead:
         monkeypatch.setitem(slope.__globals__, "_check_divisibility", lambda p, q, profile: seen.append(Fraction(p, q)))
         results = [slope(p) for p in profiles_from(GenSpec("rational-matrix", seed=11, count=8, n=3, bound=6))]
         assert seen and seen == [r.slope_fraction for r in results if r.slope_fraction is not None]
+
+
+    def test_scan_builds_no_square_free_part(self, monkeypatch):
+        # scan reads the decision alone: no PRS runs and no algebraic number
+        # is built, for surfaces and for matrix models.
+        def refuse(*args):
+            raise AssertionError("scan built a square-free part or an algebraic number")
+
+        monkeypatch.setattr(polyroot, "_prs", refuse)
+        monkeypatch.setattr(AlgebraicNumber, "__init__", refuse)
+        for instances in (
+            [("norm", surface(0, 1, 2)), ("generic", surface(2, 3, 2)), ("negative", surface(2, -3, 2))],
+            *[list(enumerate(profiles_from(GenSpec(kind, seed=11, count=8, n=4))))
+              for kind in ("rational-matrix", "product-matrix")],
+        ):
+            entries = scan([(str(label), profile) for label, profile in instances]).entries
+            assert {e.verdict for e in entries} <= {WITNESS, IRRATIONAL, INFINITE}
+
+    def test_threshold_interval_needs_no_evaluation(self, monkeypatch):
+        # The maximal root keeps clear of 0 with neither end a root, as
+        # isolation and refine leave it, so reading the threshold inverts it
+        # with no sign evaluated, and gives what the guarded reciprocal gives.
+        result = slope(IntersectionProfile(2, (2, 3, 2)))
+        calls, scaled_value = [], polyroot._scaled_value
+        with monkeypatch.context() as m:
+            m.setattr(polyroot, "_scaled_value", lambda p, a, b: calls.append(Fraction(a, b)) or scaled_value(p, a, b))
+            threshold = result.slope
+        assert calls == [] and threshold == reciprocal(result.max_root)
+        for kind, n in (("surface", 2), ("rational-matrix", 3), ("product-matrix", 4)):
+            for profile in profiles_from(GenSpec(kind, seed=11, count=8, n=n, bound=6)):
+                result = slope(profile)
+                for shown in (result, result.refined(Fraction(1, 2**64))):
+                    if not shown.infinite:
+                        assert shown.slope.to_json() == reciprocal(shown.max_root).to_json()
 
 
 class TestLowerBound:
