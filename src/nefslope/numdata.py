@@ -15,19 +15,21 @@ integers with ``L^n > 0``, and a :class:`SymMatrixModel` is a symmetric
 ``n x n`` matrix with a positive integer ``L^n``.  Beyond that, any integer
 vector is a first-class input; realizability checks stay opt-in through
 :func:`validate` at increasing :class:`ValidationLevel` strictness, the
-spectral one read off the signs and degrees of one integer PRS.
+spectral one read off one integer PRS once per profile, or, for a profile
+:func:`profile_from_matrix` built, known real-rooted by the spectral theorem.
 """
 
 import enum
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, lcm
 from operator import eq, mul
 
 from .errors import AsymmetricInput, InputError, NonIntegralProfile
 from .exactio import Record, describe_int, format_int, format_rational, parse_int, parse_rational
 from .exactio import read_matrix, require_int, require_seq
-from .polyroot import chi_polynomial, real_root_defect
+from .polyroot import IntPolynomial, chi_polynomial, real_root_defect
 
 
 def _array(value, field: str) -> list:
@@ -58,6 +60,11 @@ class IntersectionProfile(Record):
             require_int(v[n], f"v[{n}]", 1)
         d = self.__dict__
         d["n"], d["v"] = n, v
+
+    @cached_property
+    def spectral_defect(self) -> tuple[int, IntPolynomial] | None:
+        """The SPECTRAL verdict, :func:`real_root_defect` of chi; :func:`profile_from_matrix` fills it."""
+        return real_root_defect(chi_polynomial(self))
 
     def to_json(self) -> dict:
         return {"n": self.n, "v": [format_int(x) for x in self.v]}
@@ -153,11 +160,12 @@ def validate(p: IntersectionProfile, level: ValidationLevel) -> ValidationReport
     model; multiplicity does not matter, so the test is that its distinct
     real roots, counted at +-infinity on one PRS by :func:`real_root_defect`,
     are as many as the degree of its square-free part, which is built only to
-    word a violation.  SURFACE_HODGE additionally requires, on surfaces, the
-    index inequality ``(L.M)^2 >= L^2 M^2``.
+    word a violation.  A profile runs that PRS at most once, and one that
+    :func:`profile_from_matrix` built never does.  SURFACE_HODGE additionally
+    requires, on surfaces, the index inequality ``(L.M)^2 >= L^2 M^2``.
     """
     violations = []
-    if level >= ValidationLevel.SPECTRAL and (defect := real_root_defect(chi_polynomial(p))):
+    if level >= ValidationLevel.SPECTRAL and (defect := p.spectral_defect):
         real, h = defect
         violations.append(
             Violation("real-rooted", f"square-free part {h} has {real} distinct real roots but degree {h.degree}")
@@ -242,7 +250,10 @@ def profile_from_matrix(m: SymMatrixModel) -> IntersectionProfile:
                 f"{(den // gcd(num, den)).bit_length()} bits (L^n = {describe_int(m.top_l)})"
             )
         v.append(value)
-    return IntersectionProfile(m.n, tuple(v))
+    profile = IntersectionProfile(m.n, tuple(v))
+    # chi = L^n det(u I - F) is real-rooted: its roots are a symmetric F's eigenvalues.
+    profile.__dict__["spectral_defect"] = None
+    return profile
 
 
 # ---------------------------------------------------------------------------

@@ -741,9 +741,11 @@ class TopRoot(Record):
     square-free part, with a positive lead, in ``(a/b, c/b]`` for the
     integer ``ends`` ``(a, c, b)``.  When ``a == c`` the root is ``c/b``,
     exactly; otherwise it is irrational, the interval keeps clear of 0 and
-    ``a/b`` is no root of ``poly``."""
+    ``a/b`` is no root of ``poly``.  ``sturm``, no field, is True when the
+    Sturm search on ``poly``, then the square-free part, gave the ends."""
 
     _fields = ("poly", "ends")
+    sturm = False
 
     @property
     def exact(self) -> Fraction | None:
@@ -753,15 +755,15 @@ class TopRoot(Record):
     def number(self, p: IntPolynomial) -> AlgebraicNumber:
         """The root as :func:`isolate_max_root` returns it for ``p``, whose
         maximal root this is: ``from_rational`` for an exact root; else on the
-        square-free part ``h`` of ``p``.  When ``poly`` is ``h`` and every root
-        of ``h`` is real (``V(-inf) - V(+inf) = deg h`` on its PRS), each
-        Descartes count was exact, so the search visited the Sturm search's
-        points and the ends are reused; otherwise the Sturm search on ``h``
-        runs again."""
+        square-free part ``h`` of ``p``.  Ends from the Sturm search on ``h``
+        are reused with no PRS.  When ``poly`` is ``h`` and every root of ``h``
+        is real (``V(-inf) - V(+inf) = deg h`` on its PRS), each Descartes
+        count was exact, so the search visited the Sturm search's points and
+        the ends are reused too; otherwise the Sturm search on ``h`` runs."""
         if (exact := self.exact) is not None:
             return AlgebraicNumber.from_rational(exact)
-        top, seq = self, _square_free_prs(p.coeffs)
-        if list(self.poly) != seq[0] or operator.sub(*_end_variations(seq)) != len(seq[0]) - 1:
+        top, seq = self, None if self.sturm else _square_free_prs(p.coeffs)
+        if seq and (list(self.poly) != seq[0] or operator.sub(*_end_variations(seq)) != len(seq[0]) - 1):
             top = _top_root(seq[0], seq)
         a, c, b = top.ends
         return AlgebraicNumber(IntPolynomial(top.poly), (Fraction(a, b), Fraction(c, b)))
@@ -774,13 +776,14 @@ def _top_root(f: list[int], seq: list[list[int]] | None = None) -> TopRoot | Non
     The search runs from ``(-B, B]``, ``B = 2^e`` the Fujiwara bound of
     ``f``: on Descartes counts without ``seq``, else on the chain.  A stalled
     Descartes search builds the PRS of the square-free part ``h``, and the
-    Sturm search on ``h`` decides, from the Fujiwara bound of ``h``.  The root
-    is then narrowed by :func:`_bisect` to ``1/(2 D^2)``, ``D = lead(f)``, on
-    integer ends ``(a, c, b)``.  A rational root of ``f`` is ``k/D`` for an
-    integer ``k``, and the narrowed ``(lo, hi]`` holds at most one such
-    point, ``k = floor(D hi)``; one exact evaluation decides it.  An
-    irrational root is bisected on the same triple until its interval keeps
-    clear of 0 (``lo > 0`` or ``hi < 0``) with ``lo`` no root of ``f``.
+    Sturm search on ``h`` decides, from the Fujiwara bound of ``h``, in a
+    decision marked ``sturm``.  The root is then narrowed by :func:`_bisect`
+    to ``1/(2 D^2)``, ``D = lead(f)``, on integer ends ``(a, c, b)``.  A
+    rational root of ``f`` is ``k/D`` for an integer ``k``, and the narrowed
+    ``(lo, hi]`` holds at most one such point, ``k = floor(D hi)``; one exact
+    evaluation decides it.  An irrational root is bisected on the same triple
+    until its interval keeps clear of 0 (``lo > 0`` or ``hi < 0``) with
+    ``lo`` no root of ``f``.
     """
     e = _fujiwara_exponent(f)
     ends = (-1 << e, 1 << e, 1) if e >= 0 else (-1, 1, 1 << -e)
@@ -803,7 +806,9 @@ def _top_root(f: list[int], seq: list[list[int]] | None = None) -> TopRoot | Non
             a, c, b = k, k, denom
         elif a != c:
             a, c, b = _bisect(f, a, c, b)  # clear of 0; the root is irrational, so no midpoint is a root
-    return TopRoot(tuple(f), (a, c, b))
+    root = TopRoot(tuple(f), (a, c, b))
+    root.__dict__["sturm"] = seq is not None
+    return root
 
 
 def top_root(p: IntPolynomial) -> TopRoot | None:

@@ -1,6 +1,7 @@
 """Tests for profiles, the matrix model and validation levels."""
 
 import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd, lcm
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nefslope import numdata, polyroot
+from nefslope.cli import main
 from nefslope.errors import InputError, NonIntegralProfile
 from nefslope.generators import GenSpec, SplitMix64, gen_product, gen_random
 from nefslope.numdata import (
@@ -24,6 +26,7 @@ from nefslope.numdata import (
     validate,
 )
 from nefslope.polyroot import IntPolynomial, chi_polynomial
+from nefslope.simplicity import NormClassSpec, norm_class
 from nefslope.slope import is_nef
 
 
@@ -475,7 +478,10 @@ class TestSpectralAgainstSympy:
             report = validate(profile, ValidationLevel.SPECTRAL)
             assert report.ok == (real == h.degree), name
             if "matrix" in name:
-                assert report.ok, name
+                # A matrix-built profile carries its verdict; the same n and v
+                # built afresh run the PRS, which must agree with sympy too.
+                fresh = validate(IntersectionProfile(profile.n, profile.v), ValidationLevel.SPECTRAL)
+                assert report.ok and fresh.ok and real == h.degree, name
             if not report.ok:
                 kinds.add(name.split("-")[0])
                 (violation,) = report.violations
@@ -510,3 +516,54 @@ class TestSpectralAgainstSympy:
             real, h = sympy_square_free(p.coeffs) if p.degree > 0 else (0, IntPolynomial((1,)))
             defect = polyroot.real_root_defect(p)
             assert defect == (None if real == h.degree else (real, h)), q
+
+
+def _no_prs(f):
+    raise AssertionError("a PRS was built")
+
+
+class TestMatrixSpectralCertificate:
+    """A profile built by ``profile_from_matrix`` is real-rooted by the
+    spectral theorem and carries that verdict: SPECTRAL and hodge validation
+    of it build no PRS, while the same ``n`` and ``v`` built afresh do."""
+
+    def test_matrix_models_build_no_prs(self, monkeypatch):
+        profiles = [
+            profile_from_matrix(m)
+            for n in range(1, 13)
+            for kind in ("product-matrix", "rational-matrix")[: 1 + (n > 1)]
+            for m in gen_random(GenSpec(kind, seed=n, count=3, n=n, bound=9))
+        ]
+        profiles += [
+            profile_from_matrix(norm_class(NormClassSpec(n, sub_dim, exponent)))
+            for n in range(2, 6)
+            for sub_dim in range(1, n)
+            for exponent in (1, 2, 3)
+        ]
+        monkeypatch.setattr(polyroot, "_prs", _no_prs)
+        for p in profiles:
+            assert validate(p, ValidationLevel.SPECTRAL).ok
+            hodge = validate(p, ValidationLevel.SURFACE_HODGE)
+            assert hodge.ok == (p.n == 2) and all(v.check == "hodge-index" for v in hodge.violations)
+        with pytest.raises(AssertionError, match="a PRS was built"):
+            validate(IntersectionProfile(profiles[0].n, profiles[0].v), ValidationLevel.SPECTRAL)
+
+    def test_cli_bound_and_scan_on_matrix_input_build_no_prs(self, monkeypatch, capsys):
+        matrix = json.dumps({"n": 3, "Ln": 6, "F": [[1, 1, 0], [1, -2, 0], [0, 0, -3]]})
+        monkeypatch.setattr(polyroot, "_prs", _no_prs)
+        assert main(["bound", "--level", "spectral", "--input", matrix]) == 0
+        assert json.loads(capsys.readouterr().out) == {"bound": "1/10"}
+        assert main(["scan", "--level", "spectral", "--input", f"[{matrix}]"]) == 0
+
+    def test_heavy_matrix_validates_without_prs(self, monkeypatch):
+        # Product-matrix n = 48, where the PRS dominates validating the fresh profile.
+        profile = profile_from_matrix(gen_random(GenSpec("product-matrix", seed=1, count=1, n=48))[0])
+        fresh = IntersectionProfile(profile.n, profile.v)
+        assert fresh == profile and "spectral_defect" in vars(profile)
+        with monkeypatch.context() as m:
+            m.setattr(polyroot, "_prs", _no_prs)
+            assert validate(profile, ValidationLevel.SPECTRAL).ok
+        prs = []
+        monkeypatch.setattr(polyroot, "_prs", lambda f, build=polyroot._prs: prs.append(f) or build(f))
+        assert validate(fresh, ValidationLevel.SPECTRAL).ok and validate(fresh, ValidationLevel.SPECTRAL).ok
+        assert len(prs) == 1  # once per profile object

@@ -896,6 +896,28 @@ class TestTopRootDecision:
                 seen.add("no stall")
         assert seen == {"stall, h != g", "stall, h = g", "no stall"}
 
+    def test_stalled_search_builds_one_prs(self, monkeypatch):
+        # (u^2 - 2)^2 (u + 5): the Descartes search stalls at the double
+        # maximum sqrt(2), and the Sturm search on h = (u^2 - 2)(u + 5)
+        # decides.  Reading the root reuses those ends, so isolate_max_root
+        # builds the square-free PRS once, and returns the number that
+        # rerunning the Sturm search on h gives.
+        p = _mul(_mul(P([-2, 0, 1]), P([-2, 0, 1])), P([5, 1]))
+        seq = polyroot._square_free_prs(p.coeffs)
+        sturm = polyroot._top_root(seq[0], seq)
+        calls, build = [], polyroot._square_free_prs
+        monkeypatch.setattr(polyroot, "_square_free_prs", lambda coeffs: calls.append(coeffs) or build(coeffs))
+        top = polyroot.top_root(p)
+        assert len(calls) == 1 and top.sturm and top == sturm
+        root = isolate_max_root(p)
+        assert len(calls) == 2  # top_root's once more, none in number
+        assert root == AlgebraicNumber(P([-10, -2, 5, 1]), (Fraction(1), Fraction(3, 2)))
+        assert root == AlgebraicNumber(P(sturm.poly), tuple(Fraction(x, sturm.ends[2]) for x in sturm.ends[:2]))
+        # A search that does not stall leaves the PRS to number.
+        q = P([-2, 0, 1])
+        assert not polyroot.top_root(q).sturm
+        assert isolate_max_root(q).minpoly_factor == q and len(calls) == 3
+
 
 def _heavy_surface(digits: int, rational: bool) -> IntersectionProfile:
     """A surface profile with entries of about ``digits`` digits, seeded by

@@ -144,6 +144,13 @@ def test_filled_cached_properties_leave_equality_and_hash():
     assert trace.rows and trace.candidates and {"rows", "candidates"} <= set(vars(trace))
     assert trace == twin and (hash(trace), repr(trace)) == before == (hash(twin), repr(twin))
 
+    # profile_from_matrix fills the spectral verdict; a fresh profile of the
+    # same n and v has it unfilled, and equals, hashes and reprs the same.
+    built = profile_from_matrix(gen_random(GenSpec("product-matrix", seed=1, count=1, n=4))[0])
+    twin = IntersectionProfile(built.n, built.v)
+    assert "spectral_defect" in vars(built) and "spectral_defect" not in vars(twin)
+    assert built == twin and (hash(built), repr(built)) == (hash(twin), repr(twin))
+
 
 def test_dataclass_replace_works_on_the_simplicity_records():
     report = is_nef(IntersectionProfile(2, (0, 4, 3)))
